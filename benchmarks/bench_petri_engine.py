@@ -76,10 +76,8 @@ def run_once(build, engine: str):
 def _time_run(build, engine: str, compiled: CompiledNet | None = None) -> tuple[int, int]:
     """CPU nanoseconds for one ``run()`` (setup and injection excluded)."""
     net, sinks, load = build()
-    if engine == "compiled":
-        sim = make_simulator(
-            net, sinks=sinks, engine=engine, compiled=CompiledNet(net)
-        )
+    if engine == "auto":
+        sim = make_simulator(net, sinks=sinks, compiled=CompiledNet(net))
     else:
         sim = make_simulator(net, sinks=sinks, engine=engine)
     load(sim)
@@ -129,7 +127,7 @@ def test_engine_compare(report):
     speedups = {}
     for name, build in IDIOMS:
         ref_res = run_once(build, "reference")[0]
-        cmp_res = run_once(build, "compiled")[0]
+        cmp_res = run_once(build, "auto")[0]
         assert ref_res.end_time == cmp_res.end_time, name
         assert ref_res.fired == cmp_res.fired, name
         assert [
@@ -143,7 +141,7 @@ def test_engine_compare(report):
         for _ in range(40):  # interleave so CPU-state drift hits both engines
             ns, firings = _time_run(build, "reference")
             ref_ns = min(ref_ns, ns)
-            ns, _ = _time_run(build, "compiled")
+            ns, _ = _time_run(build, "auto")
             cmp_ns = min(cmp_ns, ns)
         speedups[name] = ref_ns / cmp_ns
         rows.append(
@@ -160,7 +158,7 @@ def test_engine_compare(report):
 
 
 # ----------------------------------------------------------------------
-# Mega-batch sweep: the batch engines vs per-item evaluation at scale
+# Mega-batch sweep: batched vs per-item evaluation at scale
 # ----------------------------------------------------------------------
 
 
@@ -324,9 +322,7 @@ def test_batched_mega_sweep(report, tmp_path):
 def _time_traced(build, tracer) -> int:
     """Best-effort CPU ns for one compiled run with the given tracer."""
     net, sinks, load = build()
-    sim = make_simulator(
-        net, sinks=sinks, engine="compiled", compiled=CompiledNet(net), tracer=tracer
-    )
+    sim = make_simulator(net, sinks=sinks, compiled=CompiledNet(net), tracer=tracer)
     load(sim)
     if tracer is not None and tracer.enabled:
         tracer.clear()

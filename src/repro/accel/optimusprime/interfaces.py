@@ -115,7 +115,7 @@ def tokenize_message(msg: Message):
     ]
 
 
-def petri_interface(*, engine=None, cache=None, tracer=None):
+def petri_interface(*, engine="auto", cache=None, tracer=None):
     """Build the Petri-net interface (fresh net, reusable across items)."""
     from repro.core.petrinet import PetriNetInterface
     from repro.petri import parse

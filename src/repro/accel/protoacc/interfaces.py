@@ -202,7 +202,7 @@ def _blob_stream_cost_own(msg: Message) -> float:
     )
 
 
-def petri_interface(*, engine=None, cache=None, tracer=None):
+def petri_interface(*, engine="auto", cache=None, tracer=None):
     """Build the Petri-net interface (fresh net, reusable across items).
 
     ``engine``/``cache``/``tracer`` pass through to

@@ -18,11 +18,11 @@ from typing import TYPE_CHECKING, Any, Generic, TypeVar
 
 from repro.petri import (
     BatchEvaluator,
+    CompiledNet,
     PetriNet,
     SimResult,
-    SimulationError,
-    default_engine,
     make_simulator,
+    supports,
 )
 
 from .interface import PerformanceInterface
@@ -117,9 +117,7 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             with resident bookkeeping tokens (mutexes, credits) override
             this, since those legitimately remain after quiescence.
         engine: Simulation engine — ``"auto"`` (compiled when supported,
-            with a documented fallback), ``"reference"``, or
-            ``"compiled"``.  ``None`` defers to the
-            ``REPRO_PETRI_ENGINE`` environment variable / the default.
+            with a documented fallback) or ``"reference"``.
         cache: Optional :class:`repro.perf.EvalCache`: identical
             (net, injections) evaluations are served from the cache
             instead of re-simulated.  May also be attached later by
@@ -142,7 +140,7 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         epilogue: float = 0.0,
         pnet_text: str | None = None,
         expected_completions: Callable[[ItemT], int] | None = None,
-        engine: str | None = None,
+        engine: str = "auto",
         cache: "EvalCache | None" = None,
         tracer=None,
     ):
@@ -156,27 +154,44 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         self.engine = engine
         self.cache = cache
         self.tracer = tracer
-        # Lazily-built batch evaluator (False = not yet tried,
-        # None = tried and unsupported).  Built only when a batch
-        # actually misses the cache, so a warm-cache process never
-        # constructs an engine at all.
-        self._batch: BatchEvaluator | None | bool = False
+        # The net's lowering (False = not yet tried, None = net
+        # unsupported) and batch evaluator, each built on first use, so
+        # a warm-cache process never lowers the net at all.
+        self._compiled: CompiledNet | None | bool = False
+        self._batch: BatchEvaluator | None = None
+
+    def _lowering(self) -> CompiledNet | None:
+        """The net lowered once for every simulation this interface runs."""
+        if self._compiled is False:
+            self._compiled = CompiledNet(self.net) if supports(self.net) else None
+        return self._compiled  # type: ignore[return-value]
+
+    def _simulate(
+        self, injections: Sequence[Injection], expected: int, tracer
+    ) -> SimResult:
+        """Run the net once over ``injections`` and check that ``expected``
+        tokens completed (raising with the stuck marking otherwise)."""
+        sim = make_simulator(
+            self.net,
+            sinks=(self.sink,),
+            engine=self.engine,
+            compiled=self._lowering() if self.engine == "auto" else None,
+            tracer=tracer,
+        )
+        for inj in injections:
+            sim.inject(inj.place, inj.payload, at=inj.at)
+        result = sim.run()
+        done = len(result.completions[self.sink])
+        if done != expected:
+            raise RuntimeError(
+                f"net {self.net.name!r} completed {done}/{expected} tokens; "
+                f"stuck marking: { {p: n for p, n in self.net.marking().items() if n} }"
+            )
+        return result
 
     def _run(self, injections: Sequence[Injection], expected: int) -> SimResult:
         def compute() -> SimResult:
-            sim = make_simulator(
-                self.net, sinks=(self.sink,), engine=self.engine, tracer=self.tracer
-            )
-            for inj in injections:
-                sim.inject(inj.place, inj.payload, at=inj.at)
-            result = sim.run()
-            done = len(result.completions[self.sink])
-            if done != expected:
-                raise RuntimeError(
-                    f"net {self.net.name!r} completed {done}/{expected} tokens; "
-                    f"stuck marking: { {p: n for p, n in self.net.marking().items() if n} }"
-                )
-            return result
+            return self._simulate(injections, expected, self.tracer)
 
         if self.cache is None:
             return compute()
@@ -234,18 +249,7 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             # answered from the makespan cache without running the net,
             # and a cache hit leaves busy_time stale.  run() resets the
             # net first, so post-run busy_time IS this run's harvest.
-            sim = make_simulator(
-                self.net, sinks=(self.sink,), engine=self.engine, tracer=None
-            )
-            for inj in injections:
-                sim.inject(inj.place, inj.payload, at=inj.at)
-            result = sim.run()
-            done = len(result.completions[self.sink])
-            if done != expected:
-                raise RuntimeError(
-                    f"net {self.net.name!r} completed {done}/{expected} tokens; "
-                    f"stuck marking: { {p: n for p, n in self.net.marking().items() if n} }"
-                )
+            result = self._simulate(injections, expected, None)
             makespan = result.makespan()
             per_transition = {
                 n: t.busy_time for n, t in self.net.transitions.items()
@@ -282,17 +286,14 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
     @property
     def batch_evaluator(self) -> BatchEvaluator | None:
         """The batch engine this interface has built, if any (exposes
-        ``engine`` / ``items_codegen`` / ``items_columnar`` for tests,
+        ``engine`` / ``items_codegen`` / ``items_loop`` for tests,
         benches, and reports)."""
-        return self._batch if isinstance(self._batch, BatchEvaluator) else None
+        return self._batch
 
     def _batch_engine(self) -> BatchEvaluator | None:
-        if self._batch is False:
-            try:
-                self._batch = BatchEvaluator(self.net, (self.sink,))
-            except SimulationError:
-                self._batch = None
-        return self._batch if isinstance(self._batch, BatchEvaluator) else None
+        if self._batch is None and (compiled := self._lowering()) is not None:
+            self._batch = BatchEvaluator(self.net, (self.sink,), compiled=compiled)
+        return self._batch
 
     def evaluate_batch(self, items: Sequence[ItemT]) -> list[float]:
         """Latency for every item through the batch engine.
@@ -300,19 +301,18 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         The net is lowered once and all cache misses run in a single
         pass — bit-identical per item to the compiled engine (enforced
         by ``repro.petri.differential``).  Falls back to the per-item
-        path when the engine choice is pinned (``engine=`` or
-        ``$REPRO_PETRI_ENGINE`` set to ``reference``/``compiled``), when
-        a tracer is attached (the batch engines emit no spans, and a
-        trace must show the work done), or when the net uses features
-        the compiled form does not support.
+        path on ``engine="reference"``, when an enabled tracer is attached
+        (the batch engine emits no spans, and a trace must show the work
+        done), or when the net uses features the compiled form does not
+        support.
 
         With a cache attached, makespans are cached under a dedicated
         ``("makespan", ...)`` feature key whose values are plain floats
         — so they spill to a persistent tier and a warm process answers
         the whole batch with zero engine invocations.
         """
-        engine = self.engine if self.engine is not None else default_engine()
-        if engine != "auto" or self.tracer is not None:
+        tracing = self.tracer is not None and getattr(self.tracer, "enabled", True)
+        if self.engine != "auto" or tracing:
             return [self.latency(item) for item in items]
         injections = [self.tokenize(item) for item in items]
         expecteds = [

@@ -40,20 +40,15 @@ from .analysis import (
     t_invariants,
 )
 from .batched import (
-    BATCH_ENGINE_ENV_VAR,
-    BATCH_ENGINES,
     BatchEvaluator,
     BatchItemResult,
     chain_spec,
     chain_unsupported_reasons,
-    codegen_supported,
-    default_batch_engine,
 )
 from .compiled import (
     ENGINES,
     CompiledNet,
     CompiledSimulator,
-    default_engine,
     make_simulator,
     supports,
     unsupported_features,
@@ -75,8 +70,6 @@ from .simulate import Completion, SimResult, Simulator, run_workload
 from .token import Token
 
 __all__ = [
-    "BATCH_ENGINES",
-    "BATCH_ENGINE_ENV_VAR",
     "ENGINES",
     "AnalysisError",
     "Arc",
@@ -108,10 +101,7 @@ __all__ = [
     "chain",
     "chain_spec",
     "chain_unsupported_reasons",
-    "codegen_supported",
     "covers_all_positive",
-    "default_batch_engine",
-    "default_engine",
     "find_cycles",
     "incidence_matrix",
     "make_simulator",

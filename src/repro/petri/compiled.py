@@ -8,22 +8,29 @@ interpreter overhead is paid *per token* by every sweep-shaped consumer
 the Petri-net representation exists to avoid.
 
 This module lowers a static :class:`~repro.petri.net.PetriNet` once into
-a flat, integer-indexed form and executes it with a tight loop:
+a flat, integer-indexed :class:`CompiledNet` and executes it with one
+tight event loop, :func:`run_compiled`:
 
 * places and transitions become array indices (transition index order
   *is* the deterministic ``(priority, name)`` firing order, so the dirty
   set is a set of ints and sorting it needs no key function);
 * arc lists are flat ``(place_idx, weight)`` tuples resolved at compile
-  time;
+  time, and every per-net table the loop reads (wake masks, guard
+  slots, sink lookups) is built once per lowering;
 * events are plain ``(time, seq, kind, transition_idx, token, t0)``
   tuples on one heap — no per-firing closures, no event dataclass;
 * token payloads stay in the same :class:`~repro.petri.token.Token`
   objects the reference engine uses, so guards and delay callables are
   pre-bound once and receive byte-identical inputs.
 
-Semantics are *identical* to the reference engine — same firing order,
-same budget accounting, same error messages, same ``SimResult`` — and
-:mod:`repro.petri.differential` asserts this on every shipped
+:func:`run_compiled` is the only fast event loop in the package.
+:class:`CompiledSimulator` wraps it in the reference engine's API (a
+``SimResult`` plus a write-back into the net), and
+:class:`~repro.petri.batched.BatchEvaluator` runs it per item for nets
+its chain recurrence cannot take, keeping only a trimmed per-item
+result.  Semantics are *identical* to the reference engine — same firing
+order, same budget accounting, same error messages, same ``SimResult`` —
+and :mod:`repro.petri.differential` asserts this on every shipped
 accelerator net and on randomized structural nets.
 
 Fallback rules (see ``docs/performance.md``): the fast path refuses nets
@@ -37,9 +44,9 @@ arcs) runs on the fast path.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Literal
 
@@ -50,13 +57,7 @@ from .token import Token, _token_ids
 
 #: Engine selector values accepted by :func:`make_simulator` and the
 #: ``pnet run --engine`` flag.
-EngineName = Literal["auto", "reference", "compiled"]
-
-ENGINES: tuple[str, ...] = ("auto", "reference", "compiled")
-
-#: Environment override for the default engine choice (used by the CI
-#: parity job to force-run suites on one engine).
-ENGINE_ENV_VAR = "REPRO_PETRI_ENGINE"
+ENGINES: tuple[str, ...] = ("auto", "reference")
 
 # Event kinds, ordered only for readability — (time, seq) alone decides
 # heap order because seq is unique.  (Injections never touch the heap:
@@ -64,16 +65,6 @@ ENGINE_ENV_VAR = "REPRO_PETRI_ENGINE"
 # engine-generated events at the same instant, so the run loop merges
 # them from a sorted side list.)
 _COMPLETE, _FAIL = 1, 2
-
-
-def default_engine() -> str:
-    """The session-wide engine choice: ``$REPRO_PETRI_ENGINE`` or auto."""
-    engine = os.environ.get(ENGINE_ENV_VAR, "auto")
-    if engine not in ENGINES:
-        raise ValueError(
-            f"{ENGINE_ENV_VAR}={engine!r} is not one of {', '.join(ENGINES)}"
-        )
-    return engine
 
 
 def unsupported_features(net: PetriNet, *, trace: bool = False) -> list[str]:
@@ -105,8 +96,11 @@ class CompiledNet:
 
     Compile once, simulate many times: the lowering cost is paid per
     *net*, not per run, so sweeps amortize it across thousands of
-    points.  The compiled form never mutates — all simulation state
-    lives in the :class:`CompiledSimulator` run that uses it.
+    points.  All simulation state lives in the :func:`run_compiled`
+    call that uses it; the only things that change after construction
+    are the per-sinks table memo and the scratch ``guard_slots``, which
+    a firing fills and reads within one guard/delay evaluation — so one
+    lowering must not run on two threads at once.
     """
 
     __slots__ = (
@@ -133,6 +127,9 @@ class CompiledNet:
         "t_fast",
         "t_out1",
         "t_outw",
+        "guard_slots",
+        "guard_dicts",
+        "_sink_tables",
     )
 
     def __init__(self, net: PetriNet):
@@ -255,6 +252,493 @@ class CompiledNet:
             self.t_out[ti][0] if len(self.t_out[ti]) == 1 else None
             for ti in range(len(ordered))
         ]
+        # Reusable ``consumed`` argument per fast transition with a
+        # guard or delay callable (fresh-dict cost avoided; callables
+        # must not retain or mutate their argument — same contract the
+        # reference engine's documentation imposes).
+        self.guard_slots: list[list[Token | None] | None] = []
+        self.guard_dicts: list[dict[str, list[Token | None]] | None] = []
+        for fast in self.t_fast:
+            if fast is not None and fast[1] == 1 and (
+                fast[5] is not None or fast[6] is not None
+            ):
+                slot: list[Token | None] = [None]
+                self.guard_slots.append(slot)
+                self.guard_dicts.append({fast[4]: slot})
+            else:
+                self.guard_slots.append(None)
+                self.guard_dicts.append(None)
+        self._sink_tables: dict[tuple[str, ...], tuple[tuple[int, ...], list[int]]] = {}
+
+    def sink_tables(self, sinks: Sequence[str]) -> tuple[tuple[int, ...], list[int]]:
+        """``(place index per sink, wake_done)`` for one sink set, built
+        once per lowering and memoized.
+
+        ``wake_done[ti]`` is the combined wake mask applied when
+        transition ``ti`` completes through a single output arc: its own
+        server frees up, plus either readers of the deposited place or —
+        for sink places, where the token leaves the net — writers whose
+        capacity was freed.
+        """
+        key = tuple(sinks)
+        tables = self._sink_tables.get(key)
+        if tables is not None:
+            return tables
+        for s in key:
+            if s not in self.place_index:
+                raise SimulationError(f"sink {s!r} is not a place of net {self.net.name!r}")
+        sink_at = tuple(self.place_index[s] for s in key)
+        wake_done: list[int] = []
+        for ti, ow in enumerate(self.t_outw):
+            if ow is None:
+                wake_done.append(1 << ti)
+            else:
+                p = ow[0]
+                base = self.producers_mask[p] if p in sink_at else self.consumers_mask[p]
+                wake_done.append(base | (1 << ti))
+        tables = self._sink_tables[key] = (sink_at, wake_done)
+        return tables
+
+
+@dataclass(slots=True)
+class RunEnd:
+    """The end state of one :func:`run_compiled` call.
+
+    ``completions`` maps each sink to its ``(time, token)`` arrivals in
+    order; ``tokens``/``reserved``/``busy``/``fire_count``/``busy_time``
+    are the final per-place and per-transition state, in
+    :class:`CompiledNet` index order.  ``pending`` counts the events and
+    injections a ``until``/``max_time`` horizon left unprocessed.
+    """
+
+    completions: dict[str, list[tuple[float, Token]]]
+    tokens: list[deque[Token]]
+    reserved: list[int]
+    busy: list[int]
+    fire_count: list[int]
+    busy_time: list[float]
+    end_time: float
+    first_injection: float | None
+    deadlocked: bool
+    deadline_exceeded: bool
+    residual: int
+    pending: int
+
+
+def run_compiled(
+    c: CompiledNet,
+    sinks: Sequence[str],
+    pending: list[tuple[float, int, int, Token]],
+    budget: int,
+    *,
+    until: float | None = None,
+    max_time: float | None = None,
+    tracer=None,
+) -> RunEnd:
+    """Run ``c`` once from an empty marking — the one fast event loop.
+
+    ``pending`` holds the run's injections as ``(at, token uid,
+    place index, token)``; they enter in ``(at, uid)`` order.  ``budget``
+    caps firings per instant (the zero-delay-loop guard), ``until`` and
+    ``max_time`` are :meth:`Simulator.run`'s horizons, and ``tracer``
+    receives one span per firing.  Nothing is written back to the net:
+    callers read the returned :class:`RunEnd`.
+    """
+    n_places = len(c.place_names)
+    n_trans = len(c.t_names)
+
+    # --- run state: flat arrays; the net's Place/Transition objects
+    # are never touched.
+    tokens: list[deque[Token]] = [deque() for _ in range(n_places)]
+    reserved = [0] * n_places
+    busy = [0] * n_trans
+    fire_count = [0] * n_trans
+    busy_time = [0.0] * n_trans
+    sink_at, wake_done = c.sink_tables(sinks)
+    completions: dict[str, list[tuple[float, Token]]] = {s: [] for s in sinks}
+    # Per-place completion list (None = not a sink).
+    comp_of: list[list[tuple[float, Token]] | None] = [None] * n_places
+    for s, p in zip(sinks, sink_at):
+        comp_of[p] = completions[s]
+
+    events: list[tuple[float, int, int, int, Token | None, float]] = []
+    seq = 0
+    now = 0.0
+    dirty = 0  # bitmask: bit ti = re-check transition ti
+
+    # Local aliases: the hot loop reads these thousands of times.
+    t_in, t_out = c.t_in, c.t_out
+    t_in_names = c.t_in_names
+    t_delay_const, t_delay_fn = c.t_delay_const, c.t_delay_fn
+    t_guard, t_servers = c.t_guard, c.t_servers
+    t_timeout_after, t_timeout_place = c.t_timeout_after, c.t_timeout_place
+    consumers_mask, producers_mask = c.consumers_mask, c.producers_mask
+    capacity = c.capacity
+    place_names = c.place_names
+    t_names = c.t_names
+    t_wake_fire, t_fast = c.t_wake_fire, c.t_fast
+    t_out1, t_outw = c.t_out1, c.t_outw
+    guard_slots, guard_dicts = c.guard_slots, c.guard_dicts
+    new_token = Token.__new__
+    next_uid = _token_ids.__next__
+    net_name = c.net.name
+    # Per-transition span categories, precomputed so the per-event
+    # trace branch allocates nothing (guard attribution included).
+    trace_cat = (
+        ["petri.guarded" if g is not None else "petri.fire" for g in t_guard]
+        if tracer is not None
+        else None
+    )
+
+    # Injections never interleave with engine-generated events at
+    # the same (time, seq) — they were all scheduled first, so at
+    # any instant they apply before completions.  Keeping them in a
+    # sorted side list instead of the heap skips two heap ops per
+    # token.
+    inj = sorted(pending)
+    first_injection = inj[0][0] if inj else None
+    if inj and inj[0][0] < now:
+        raise SimulationError(
+            f"event scheduled in the past ({inj[0][0]} < {now})"
+        )
+    inj_i, inj_n = 0, len(inj)
+
+    def deposit(p: int, token: Token, from_reservation: bool) -> None:
+        nonlocal dirty
+        comps = comp_of[p]
+        if comps is not None:
+            if from_reservation:
+                reserved[p] -= 1
+                # A sink deposit releases reserved capacity: writers
+                # of this place may become enabled again.
+                dirty |= producers_mask[p]
+            comps.append((now, token))
+            return
+        if from_reservation:
+            if reserved[p] <= 0:
+                raise CapacityError(
+                    f"place {place_names[p]!r}: deposit without prior reservation"
+                )
+            reserved[p] -= 1
+        else:
+            cap = capacity[p]
+            if cap is not None and cap - len(tokens[p]) - reserved[p] < 1:
+                raise CapacityError(
+                    f"place {place_names[p]!r} is full (capacity {cap})"
+                )
+        tokens[p].append(token)
+        dirty |= consumers_mask[p]
+
+    def fire_all() -> None:
+        nonlocal seq, dirty
+        fired = 0
+        while dirty:
+            # Ascending bit-scan == the reference's sorted batch.
+            batch = dirty
+            dirty = 0
+            while batch:
+                low = batch & -batch
+                batch -= low
+                ti = low.bit_length() - 1
+                # --- fully inlined loop for the dominant idiom:
+                # one input arc, one output arc, no timeout (guards,
+                # weights and callable delays allowed).  Cheap bail
+                # first: most wake-ups find nothing to fire.
+                fast = t_fast[ti]
+                if fast is not None:
+                    dq = tokens[fast[0]]
+                    if len(dq) < fast[1]:
+                        continue
+                    servers = t_servers[ti]
+                    if servers is not None and busy[ti] >= servers:
+                        continue
+                    if fast[9]:
+                        # Tightest tier: weight-1 arcs, constant
+                        # delay, no guard — nothing to test per
+                        # firing.
+                        p_out = fast[2]
+                        delay_c = fast[7]
+                        wake = fast[8]
+                        cap = capacity[p_out]
+                        out_dq = tokens[p_out]
+                        while (
+                            dq
+                            and (servers is None or busy[ti] < servers)
+                            and (
+                                cap is None
+                                or cap - len(out_dq) - reserved[p_out] >= 1
+                            )
+                        ):
+                            first = dq.popleft()
+                            reserved[p_out] += 1
+                            dirty |= wake
+                            busy[ti] += 1
+                            fire_count[ti] += 1
+                            busy_time[ti] += delay_c
+                            fired += 1
+                            if fired > budget:
+                                raise SimulationError(
+                                    f"net {net_name!r}: more than {budget} "
+                                    f"firings at t={now}; likely a zero-delay loop"
+                                )
+                            heappush(
+                                events, (now + delay_c, seq, _COMPLETE, ti, first, now)
+                            )
+                            seq += 1
+                        continue
+                    _, w_in, p_out, w_out, in_name, guard, delay_fn, delay_c, wake, _ = fast
+                    cap = capacity[p_out]
+                    out_dq = tokens[p_out]
+                    while (
+                        len(dq) >= w_in
+                        and (servers is None or busy[ti] < servers)
+                        and (
+                            cap is None
+                            or cap - len(out_dq) - reserved[p_out] >= w_out
+                        )
+                    ):
+                        if guard is not None or delay_fn is not None:
+                            slot = guard_slots[ti]
+                            if slot is not None:
+                                slot[0] = dq[0]
+                                consumed = guard_dicts[ti]
+                            else:
+                                consumed = {
+                                    in_name: [dq[i] for i in range(w_in)]
+                                }
+                            if guard is not None and not guard(consumed):
+                                break
+                        first = dq.popleft()
+                        if w_in != 1:
+                            for _ in range(w_in - 1):
+                                dq.popleft()
+                        reserved[p_out] += w_out
+                        dirty |= wake
+                        if delay_fn is None:
+                            delay = delay_c
+                        else:
+                            delay = float(delay_fn(consumed))
+                            if delay < 0:
+                                raise DefinitionError(
+                                    f"transition {t_names[ti]!r} computed "
+                                    "a negative delay"
+                                )
+                        busy[ti] += 1
+                        fire_count[ti] += 1
+                        busy_time[ti] += delay
+                        fired += 1
+                        if fired > budget:
+                            raise SimulationError(
+                                f"net {net_name!r}: more than {budget} "
+                                f"firings at t={now}; likely a zero-delay loop"
+                            )
+                        heappush(events, (now + delay, seq, _COMPLETE, ti, first, now))
+                        seq += 1
+                    continue
+                servers = t_servers[ti]
+                guard = t_guard[ti]
+                delay_fn = t_delay_fn[ti]
+                ins = t_in[ti]
+                outs = t_out[ti]
+                while True:
+                    # --- enabled? (same check order as the reference)
+                    if servers is not None and busy[ti] >= servers:
+                        break
+                    enabled = True
+                    for p, w in ins:
+                        if len(tokens[p]) < w:
+                            enabled = False
+                            break
+                    if enabled:
+                        for p, w in outs:
+                            cap = capacity[p]
+                            if cap is not None and cap - len(tokens[p]) - reserved[p] < w:
+                                enabled = False
+                                break
+                    if not enabled:
+                        break
+                    consumed: dict[str, list[Token]] | None = None
+                    if guard is not None or delay_fn is not None:
+                        names = t_in_names[ti]
+                        consumed = {}
+                        for (p, w), name in zip(ins, names, strict=True):
+                            dq = tokens[p]
+                            consumed[name] = (
+                                [dq[0]] if w == 1 else [dq[i] for i in range(w)]
+                            )
+                        if guard is not None and not guard(consumed):
+                            break
+                    # --- fire: consume inputs, reserve outputs.
+                    first: Token | None = None
+                    for p, w in ins:
+                        dq = tokens[p]
+                        if len(dq) < w:
+                            raise ValueError(
+                                f"place {place_names[p]!r} holds fewer than {w} tokens"
+                            )
+                        if first is None:
+                            first = dq[0]
+                        for _ in range(w):
+                            dq.popleft()
+                    for p, w in outs:
+                        reserved[p] += w
+                    dirty |= t_wake_fire[ti]
+                    delay = (
+                        float(delay_fn(consumed))
+                        if delay_fn is not None
+                        else t_delay_const[ti]
+                    )
+                    if delay < 0:
+                        raise DefinitionError(
+                            f"transition {t_names[ti]!r} computed a negative delay"
+                        )
+                    busy[ti] += 1
+                    fire_count[ti] += 1
+                    fired += 1
+                    if fired > budget:
+                        raise SimulationError(
+                            f"net {net_name!r}: more than {budget} "
+                            f"firings at t={now}; likely a zero-delay loop"
+                        )
+                    after = t_timeout_after[ti]
+                    if after is not None and delay > after:
+                        # Fault arc: abandon the work at the deadline
+                        # (see the reference engine for the contract).
+                        busy_time[ti] += after
+                        heappush(events, (now + after, seq, _FAIL, ti, first, now))
+                    else:
+                        busy_time[ti] += delay
+                        heappush(events, (now + delay, seq, _COMPLETE, ti, first, now))
+                    seq += 1
+
+    deadline_exceeded = False
+    inf = float("inf")
+    # One compare per instant: the reference checks max_time before
+    # until, so the merged hurdle resolves ties the same way.
+    hurdle = inf if max_time is None else max_time
+    if until is not None and until < hurdle:
+        hurdle = until
+    while True:
+        t = events[0][0] if events else inf
+        if inj_i < inj_n:
+            t_inj = inj[inj_i][0]
+            if t_inj < t:
+                t = t_inj
+        elif not events:
+            break
+        if t > hurdle:
+            if max_time is not None and t > max_time:
+                now = max_time
+                deadline_exceeded = True
+            else:
+                now = until
+            break
+        now = t
+        while inj_i < inj_n and inj[inj_i][0] == t:
+            idx, tok = inj[inj_i][2], inj[inj_i][3]
+            inj_i += 1
+            tok.born = t
+            comps = comp_of[idx]
+            if comps is not None:
+                comps.append((t, tok))
+            else:
+                cap = capacity[idx]
+                if cap is not None and cap - len(tokens[idx]) - reserved[idx] < 1:
+                    raise CapacityError(
+                        f"place {place_names[idx]!r} is full (capacity {cap})"
+                    )
+                tokens[idx].append(tok)
+                dirty |= consumers_mask[idx]
+        while events and events[0][0] == t:
+            _, _, kind, idx, tok, t0 = heappop(events)
+            if tracer is not None:
+                if kind == _COMPLETE:
+                    tracer.add_span(
+                        t_names[idx], t0, t, cat=trace_cat[idx], tid=net_name
+                    )
+                else:
+                    tracer.add_span(
+                        f"{t_names[idx]}!timeout",
+                        t0,
+                        t,
+                        cat="petri.timeout",
+                        tid=net_name,
+                    )
+            if kind == _COMPLETE:
+                # Single output arc: the first child of the consumed
+                # token has the same payload/born/trace, so reuse
+                # the (otherwise dead) token object instead of
+                # fabricating a child per hop; extra weight copies
+                # are fabricated inline.
+                p = t_out1[idx]
+                if p >= 0:
+                    if tok.born is None:
+                        tok.born = t0
+                    reserved[p] -= 1
+                    comps = comp_of[p]
+                    if comps is not None:
+                        comps.append((now, tok))
+                    else:
+                        tokens[p].append(tok)
+                    dirty |= wake_done[idx]
+                    busy[idx] -= 1
+                elif (ow := t_outw[idx]) is not None:
+                    p, w = ow
+                    if tok.born is None:
+                        tok.born = t0
+                    reserved[p] -= w
+                    comps = comp_of[p]
+                    if comps is not None:
+                        comps.append((now, tok))
+                    else:
+                        tokens[p].append(tok)
+                    payload, born, trace = tok.payload, tok.born, tok.trace
+                    for _ in range(w - 1):
+                        child = new_token(Token)
+                        child.payload = payload
+                        child.born = born
+                        child.uid = next_uid()
+                        child.trace = None if trace is None else list(trace)
+                        if comps is not None:
+                            comps.append((now, child))
+                        else:
+                            tokens[p].append(child)
+                    dirty |= wake_done[idx]
+                    busy[idx] -= 1
+                else:
+                    for p, w in t_out[idx]:
+                        for _ in range(w):
+                            child = tok.child()
+                            if child.born is None:
+                                child.born = t0
+                            deposit(p, child, True)
+                    busy[idx] -= 1
+                    dirty |= 1 << idx  # a server freed up
+            else:  # _FAIL: release reservations, emit one fault token
+                for p, w in t_out[idx]:
+                    reserved[p] -= w
+                    dirty |= producers_mask[p]
+                fault = tok.child() if tok is not None else Token()
+                deposit(t_timeout_place[idx], fault, False)
+                busy[idx] -= 1
+                dirty |= 1 << idx
+        fire_all()
+
+    residual = sum(len(dq) for dq in tokens)
+    return RunEnd(
+        completions=completions,
+        tokens=tokens,
+        reserved=reserved,
+        busy=busy,
+        fire_count=fire_count,
+        busy_time=busy_time,
+        end_time=now,
+        first_injection=first_injection,
+        deadlocked=residual > 0 and not any(busy) and not events and inj_i >= inj_n,
+        deadline_exceeded=deadline_exceeded,
+        residual=residual,
+        pending=len(events) + (inj_n - inj_i),
+    )
 
 
 class CompiledSimulator:
@@ -348,476 +832,53 @@ class CompiledSimulator:
         Mirrors :meth:`Simulator.run` exactly, including the ``max_time``
         watchdog and deadlock detection.
         """
-        c = self.compiled
         net = self.net
-        n_places = len(c.place_names)
-        n_trans = len(c.t_names)
-
-        # --- run state: flat arrays, no Place/Transition mutation until
-        # the final write-back.
-        tokens: list[deque[Token]] = [deque() for _ in range(n_places)]
-        reserved = [0] * n_places
-        busy = [0] * n_trans
-        fire_count = [0] * n_trans
-        busy_time = [0.0] * n_trans
-        completions: dict[str, list[Completion]] = {s: [] for s in self.sinks}
-        # Per-place completion list (None = not a sink).
-        comp_of: list[list[Completion] | None] = [
-            completions.get(name) if name in completions else None
-            for name in c.place_names
-        ]
-
-        events: list[tuple[float, int, int, int, Token | None, float]] = []
-        seq = 0
-        now = 0.0
-        dirty = 0  # bitmask: bit ti = re-check transition ti
-
-        # Local aliases: the hot loop reads these thousands of times.
-        t_in, t_out = c.t_in, c.t_out
-        t_in_names = c.t_in_names
-        t_delay_const, t_delay_fn = c.t_delay_const, c.t_delay_fn
-        t_guard, t_servers = c.t_guard, c.t_servers
-        t_timeout_after, t_timeout_place = c.t_timeout_after, c.t_timeout_place
-        consumers, producers = c.consumers, c.producers
-        consumers_mask, producers_mask = c.consumers_mask, c.producers_mask
-        capacity = c.capacity
-        place_names = c.place_names
-        t_names = c.t_names
-        t_wake_fire, t_fast = c.t_wake_fire, c.t_fast
-        t_out1, t_outw = c.t_out1, c.t_outw
-        new_token = Token.__new__
-        new_comp = Completion.__new__
-        next_uid = _token_ids.__next__
-        tracer = self.tracer
-        net_name = net.name
-        # Per-transition span categories, precomputed so the per-event
-        # trace branch allocates nothing (guard attribution included).
-        trace_cat = (
-            ["petri.guarded" if g is not None else "petri.fire" for g in t_guard]
-            if tracer is not None
-            else None
-        )
-
-        # Combined wake mask applied when a single-output transition
-        # completes: its own server frees up, plus either readers of the
-        # deposited place or — for sink places, where the token leaves
-        # the net — writers whose capacity was freed.
-        wake_done: list[int] = []
-        # Reusable ``consumed`` argument per fast transition with a
-        # guard or delay callable (fresh-dict cost avoided; callables
-        # must not retain or mutate their argument — same contract the
-        # reference engine's documentation imposes).
-        guard_slots: list[list[Token | None] | None] = []
-        guard_dicts: list[dict[str, list[Token | None]] | None] = []
-        for ti in range(n_trans):
-            ow = t_outw[ti]
-            if ow is None:
-                wake_done.append(1 << ti)
-            else:
-                p, _ = ow
-                base = producers_mask[p] if comp_of[p] is not None else consumers_mask[p]
-                wake_done.append(base | (1 << ti))
-            fast = t_fast[ti]
-            if fast is not None and fast[1] == 1 and (
-                fast[5] is not None or fast[6] is not None
-            ):
-                slot: list[Token | None] = [None]
-                guard_slots.append(slot)
-                guard_dicts.append({fast[4]: slot})
-            else:
-                guard_slots.append(None)
-                guard_dicts.append(None)
-
-        # Injections never interleave with engine-generated events at
-        # the same (time, seq) — they were all scheduled first, so at
-        # any instant they apply before completions.  Keeping them in a
-        # sorted side list instead of the heap skips two heap ops per
-        # token.
-        inj = sorted(
-            (at, tok.uid, c.place_index[pl], tok) for at, pl, tok in self._pending
-        )
+        place_index = self.compiled.place_index
+        pending = [(at, tok.uid, place_index[pl], tok) for at, pl, tok in self._pending]
         self._pending.clear()
-        first_injection = inj[0][0] if inj else None
-        if inj and inj[0][0] < now:
-            raise SimulationError(
-                f"event scheduled in the past ({inj[0][0]} < {now})"
+        end = run_compiled(
+            self.compiled,
+            self.sinks,
+            pending,
+            self.MAX_FIRINGS_PER_INSTANT,
+            until=until,
+            max_time=max_time,
+            tracer=self.tracer,
+        )
+        self._write_back(end)
+        if end.deadlocked and on_deadlock == "raise":
+            raise DeadlockError(
+                f"net {net.name!r} starved with {end.residual} resident tokens: "
+                f"marking={net.marking()}"
             )
-        inj_i, inj_n = 0, len(inj)
-
-        def deposit(p: int, token: Token, from_reservation: bool) -> None:
-            nonlocal dirty
-            comps = comp_of[p]
-            if comps is not None:
-                if from_reservation:
-                    reserved[p] -= 1
-                    # A sink deposit releases reserved capacity: writers
-                    # of this place may become enabled again.
-                    dirty |= producers_mask[p]
-                comps.append(Completion(time=now, token=token))
-                return
-            if from_reservation:
-                if reserved[p] <= 0:
-                    raise CapacityError(
-                        f"place {place_names[p]!r}: deposit without prior reservation"
-                    )
-                reserved[p] -= 1
-            else:
-                cap = capacity[p]
-                if cap is not None and cap - len(tokens[p]) - reserved[p] < 1:
-                    raise CapacityError(
-                        f"place {place_names[p]!r} is full (capacity {cap})"
-                    )
-            tokens[p].append(token)
-            dirty |= consumers_mask[p]
-
-        budget = self.MAX_FIRINGS_PER_INSTANT
-
-        def fire_all() -> None:
-            nonlocal seq, dirty
-            fired = 0
-            while dirty:
-                # Ascending bit-scan == the reference's sorted batch.
-                batch = dirty
-                dirty = 0
-                while batch:
-                    low = batch & -batch
-                    batch -= low
-                    ti = low.bit_length() - 1
-                    # --- fully inlined loop for the dominant idiom:
-                    # one input arc, one output arc, no timeout (guards,
-                    # weights and callable delays allowed).  Cheap bail
-                    # first: most wake-ups find nothing to fire.
-                    fast = t_fast[ti]
-                    if fast is not None:
-                        dq = tokens[fast[0]]
-                        if len(dq) < fast[1]:
-                            continue
-                        servers = t_servers[ti]
-                        if servers is not None and busy[ti] >= servers:
-                            continue
-                        if fast[9]:
-                            # Tightest tier: weight-1 arcs, constant
-                            # delay, no guard — nothing to test per
-                            # firing.
-                            p_out = fast[2]
-                            delay_c = fast[7]
-                            wake = fast[8]
-                            cap = capacity[p_out]
-                            out_dq = tokens[p_out]
-                            while (
-                                dq
-                                and (servers is None or busy[ti] < servers)
-                                and (
-                                    cap is None
-                                    or cap - len(out_dq) - reserved[p_out] >= 1
-                                )
-                            ):
-                                first = dq.popleft()
-                                reserved[p_out] += 1
-                                dirty |= wake
-                                busy[ti] += 1
-                                fire_count[ti] += 1
-                                busy_time[ti] += delay_c
-                                fired += 1
-                                if fired > budget:
-                                    raise SimulationError(
-                                        f"net {net.name!r}: more than {budget} "
-                                        f"firings at t={now}; likely a zero-delay loop"
-                                    )
-                                heappush(
-                                    events, (now + delay_c, seq, _COMPLETE, ti, first, now)
-                                )
-                                seq += 1
-                            continue
-                        _, w_in, p_out, w_out, in_name, guard, delay_fn, delay_c, wake, _ = fast
-                        cap = capacity[p_out]
-                        out_dq = tokens[p_out]
-                        while (
-                            len(dq) >= w_in
-                            and (servers is None or busy[ti] < servers)
-                            and (
-                                cap is None
-                                or cap - len(out_dq) - reserved[p_out] >= w_out
-                            )
-                        ):
-                            if guard is not None or delay_fn is not None:
-                                slot = guard_slots[ti]
-                                if slot is not None:
-                                    slot[0] = dq[0]
-                                    consumed = guard_dicts[ti]
-                                else:
-                                    consumed = {
-                                        in_name: [dq[i] for i in range(w_in)]
-                                    }
-                                if guard is not None and not guard(consumed):
-                                    break
-                            first = dq.popleft()
-                            if w_in != 1:
-                                for _ in range(w_in - 1):
-                                    dq.popleft()
-                            reserved[p_out] += w_out
-                            dirty |= wake
-                            if delay_fn is None:
-                                delay = delay_c
-                            else:
-                                delay = float(delay_fn(consumed))
-                                if delay < 0:
-                                    raise DefinitionError(
-                                        f"transition {t_names[ti]!r} computed "
-                                        "a negative delay"
-                                    )
-                            busy[ti] += 1
-                            fire_count[ti] += 1
-                            busy_time[ti] += delay
-                            fired += 1
-                            if fired > budget:
-                                raise SimulationError(
-                                    f"net {net.name!r}: more than {budget} "
-                                    f"firings at t={now}; likely a zero-delay loop"
-                                )
-                            heappush(events, (now + delay, seq, _COMPLETE, ti, first, now))
-                            seq += 1
-                        continue
-                    servers = t_servers[ti]
-                    guard = t_guard[ti]
-                    delay_fn = t_delay_fn[ti]
-                    ins = t_in[ti]
-                    outs = t_out[ti]
-                    while True:
-                        # --- enabled? (same check order as the reference)
-                        if servers is not None and busy[ti] >= servers:
-                            break
-                        enabled = True
-                        for p, w in ins:
-                            if len(tokens[p]) < w:
-                                enabled = False
-                                break
-                        if enabled:
-                            for p, w in outs:
-                                cap = capacity[p]
-                                if cap is not None and cap - len(tokens[p]) - reserved[p] < w:
-                                    enabled = False
-                                    break
-                        if not enabled:
-                            break
-                        consumed: dict[str, list[Token]] | None = None
-                        if guard is not None or delay_fn is not None:
-                            names = t_in_names[ti]
-                            consumed = {}
-                            for (p, w), name in zip(ins, names, strict=True):
-                                dq = tokens[p]
-                                consumed[name] = (
-                                    [dq[0]] if w == 1 else [dq[i] for i in range(w)]
-                                )
-                            if guard is not None and not guard(consumed):
-                                break
-                        # --- fire: consume inputs, reserve outputs.
-                        first: Token | None = None
-                        for p, w in ins:
-                            dq = tokens[p]
-                            if len(dq) < w:
-                                raise ValueError(
-                                    f"place {place_names[p]!r} holds fewer than {w} tokens"
-                                )
-                            if first is None:
-                                first = dq[0]
-                            for _ in range(w):
-                                dq.popleft()
-                        for p, w in outs:
-                            reserved[p] += w
-                        dirty |= t_wake_fire[ti]
-                        delay = (
-                            float(delay_fn(consumed))
-                            if delay_fn is not None
-                            else t_delay_const[ti]
-                        )
-                        if delay < 0:
-                            raise DefinitionError(
-                                f"transition {t_names[ti]!r} computed a negative delay"
-                            )
-                        busy[ti] += 1
-                        fire_count[ti] += 1
-                        fired += 1
-                        if fired > budget:
-                            raise SimulationError(
-                                f"net {net.name!r}: more than {budget} "
-                                f"firings at t={now}; likely a zero-delay loop"
-                            )
-                        after = t_timeout_after[ti]
-                        if after is not None and delay > after:
-                            # Fault arc: abandon the work at the deadline
-                            # (see the reference engine for the contract).
-                            busy_time[ti] += after
-                            heappush(events, (now + after, seq, _FAIL, ti, first, now))
-                        else:
-                            busy_time[ti] += delay
-                            heappush(events, (now + delay, seq, _COMPLETE, ti, first, now))
-                        seq += 1
-
-        deadline_exceeded = False
-        inf = float("inf")
-        # One compare per instant: the reference checks max_time before
-        # until, so the merged hurdle resolves ties the same way.
-        hurdle = inf if max_time is None else max_time
-        if until is not None and until < hurdle:
-            hurdle = until
-        while True:
-            t = events[0][0] if events else inf
-            if inj_i < inj_n:
-                t_inj = inj[inj_i][0]
-                if t_inj < t:
-                    t = t_inj
-            elif not events:
-                break
-            if t > hurdle:
-                if max_time is not None and t > max_time:
-                    now = max_time
-                    deadline_exceeded = True
-                else:
-                    now = until
-                break
-            now = t
-            while inj_i < inj_n and inj[inj_i][0] == t:
-                idx, tok = inj[inj_i][2], inj[inj_i][3]
-                inj_i += 1
-                tok.born = t
-                comps = comp_of[idx]
-                if comps is not None:
-                    comp = new_comp(Completion)
-                    comp.time = t
-                    comp.token = tok
-                    comps.append(comp)
-                else:
-                    cap = capacity[idx]
-                    if cap is not None and cap - len(tokens[idx]) - reserved[idx] < 1:
-                        raise CapacityError(
-                            f"place {place_names[idx]!r} is full (capacity {cap})"
-                        )
-                    tokens[idx].append(tok)
-                    dirty |= consumers_mask[idx]
-            while events and events[0][0] == t:
-                _, _, kind, idx, tok, t0 = heappop(events)
-                if tracer is not None:
-                    if kind == _COMPLETE:
-                        tracer.add_span(
-                            t_names[idx], t0, t, cat=trace_cat[idx], tid=net_name
-                        )
-                    else:
-                        tracer.add_span(
-                            f"{t_names[idx]}!timeout",
-                            t0,
-                            t,
-                            cat="petri.timeout",
-                            tid=net_name,
-                        )
-                if kind == _COMPLETE:
-                    # Single output arc: the first child of the consumed
-                    # token has the same payload/born/trace, so reuse
-                    # the (otherwise dead) token object instead of
-                    # fabricating a child per hop; extra weight copies
-                    # are fabricated inline.
-                    p = t_out1[idx]
-                    if p >= 0:
-                        if tok.born is None:
-                            tok.born = t0
-                        reserved[p] -= 1
-                        comps = comp_of[p]
-                        if comps is not None:
-                            comp = new_comp(Completion)
-                            comp.time = now
-                            comp.token = tok
-                            comps.append(comp)
-                        else:
-                            tokens[p].append(tok)
-                        dirty |= wake_done[idx]
-                        busy[idx] -= 1
-                    elif (ow := t_outw[idx]) is not None:
-                        p, w = ow
-                        if tok.born is None:
-                            tok.born = t0
-                        reserved[p] -= w
-                        comps = comp_of[p]
-                        if comps is not None:
-                            comp = new_comp(Completion)
-                            comp.time = now
-                            comp.token = tok
-                            comps.append(comp)
-                        else:
-                            tokens[p].append(tok)
-                        payload, born, trace = tok.payload, tok.born, tok.trace
-                        for _ in range(w - 1):
-                            child = new_token(Token)
-                            child.payload = payload
-                            child.born = born
-                            child.uid = next_uid()
-                            child.trace = None if trace is None else list(trace)
-                            if comps is not None:
-                                comp = new_comp(Completion)
-                                comp.time = now
-                                comp.token = child
-                                comps.append(comp)
-                            else:
-                                tokens[p].append(child)
-                        dirty |= wake_done[idx]
-                        busy[idx] -= 1
-                    else:
-                        for p, w in t_out[idx]:
-                            for _ in range(w):
-                                child = tok.child()
-                                if child.born is None:
-                                    child.born = t0
-                                deposit(p, child, True)
-                        busy[idx] -= 1
-                        dirty |= 1 << idx  # a server freed up
-                else:  # _FAIL: release reservations, emit one fault token
-                    for p, w in t_out[idx]:
-                        reserved[p] -= w
-                        dirty |= producers_mask[p]
-                    fault = tok.child() if tok is not None else Token()
-                    deposit(t_timeout_place[idx], fault, False)
-                    busy[idx] -= 1
-                    dirty |= 1 << idx
-            fire_all()
-
-        self._write_back(tokens, reserved, busy, fire_count, busy_time)
-        deadlocked = False
-        residual = sum(len(dq) for dq in tokens)
-        in_flight = any(busy)
-        if residual > 0 and not in_flight and not events and inj_i >= inj_n:
-            deadlocked = True
-            if on_deadlock == "raise":
-                raise DeadlockError(
-                    f"net {net.name!r} starved with {residual} resident tokens: "
-                    f"marking={net.marking()}"
-                )
-
+        new_comp = Completion.__new__
+        completions: dict[str, list[Completion]] = {}
+        for sink, arrivals in end.completions.items():
+            comps = completions[sink] = []
+            for time, token in arrivals:
+                comp = new_comp(Completion)
+                comp.time = time
+                comp.token = token
+                comps.append(comp)
         result = SimResult(
-            end_time=now,
+            end_time=end.end_time,
             completions=completions,
             fired={name: net.transitions[name].fire_count for name in net.transitions},
-            deadlocked=deadlocked,
-            residual_tokens=residual,
-            deadline_exceeded=deadline_exceeded,
-            first_injection=first_injection,
+            deadlocked=end.deadlocked,
+            residual_tokens=end.residual,
+            deadline_exceeded=end.deadline_exceeded,
+            first_injection=end.first_injection,
         )
-        if deadline_exceeded and on_deadline == "raise":
+        if end.deadline_exceeded and on_deadline == "raise":
             done = sum(len(comp) for comp in completions.values())
-            pending = len(events) + (inj_n - inj_i)
             raise DeadlineError(
                 f"net {net.name!r} exceeded max_time={max_time} with "
-                f"{pending} events pending ({done} completions so far)",
+                f"{end.pending} events pending ({done} completions so far)",
                 result=result,
             )
         return result
 
-    def _write_back(
-        self,
-        tokens: list[deque[Token]],
-        reserved: list[int],
-        busy: list[int],
-        fire_count: list[int],
-        busy_time: list[float],
-    ) -> None:
+    def _write_back(self, end: RunEnd) -> None:
         """Mirror final run state into the net's Place/Transition objects.
 
         Callers introspect ``net.marking()`` and per-transition counters
@@ -827,13 +888,13 @@ class CompiledSimulator:
         c = self.compiled
         for i, name in enumerate(c.place_names):
             place = self.net.places[name]
-            place.tokens = tokens[i]
-            place.reserved = reserved[i]
+            place.tokens = end.tokens[i]
+            place.reserved = end.reserved[i]
         for i, name in enumerate(c.t_names):
             t = self.net.transitions[name]
-            t.busy = busy[i]
-            t.fire_count = fire_count[i]
-            t.busy_time = busy_time[i]
+            t.busy = end.busy[i]
+            t.fire_count = end.fire_count[i]
+            t.busy_time = end.busy_time[i]
 
 
 def make_simulator(
@@ -841,34 +902,20 @@ def make_simulator(
     sinks: Sequence[str] = ("out",),
     *,
     trace: bool = False,
-    engine: str | None = None,
+    engine: str = "auto",
     compiled: CompiledNet | None = None,
     tracer=None,
 ) -> Simulator | CompiledSimulator:
     """Build the right engine for ``net``.
 
     ``engine`` is ``"auto"`` (compiled when supported, reference
-    otherwise), ``"reference"``, or ``"compiled"`` (raises
-    :class:`SimulationError` naming the unsupported features when the
-    net cannot be compiled).  ``None`` defers to
-    ``$REPRO_PETRI_ENGINE``/auto.  ``compiled`` shares a pre-built
-    :class:`CompiledNet` across simulators in a sweep.  ``tracer``
-    (:class:`repro.obs.Tracer`) records per-firing spans on either
-    engine without affecting results.
+    otherwise) or ``"reference"``.  ``compiled`` shares a pre-built
+    :class:`CompiledNet` across simulators in a sweep (a lowering is
+    proof the net is supported).  ``tracer`` (:class:`repro.obs.Tracer`)
+    records per-firing spans on either engine without affecting results.
     """
-    if engine is None:
-        engine = default_engine()
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
-    if engine == "reference":
-        return Simulator(net, sinks, trace=trace, tracer=tracer)
-    reasons = unsupported_features(net, trace=trace)
-    if engine == "compiled":
-        if reasons:
-            raise SimulationError(
-                f"engine='compiled' cannot run net {net.name!r}: " + "; ".join(reasons)
-            )
+    if engine == "auto" and not trace and (compiled is not None or supports(net)):
         return CompiledSimulator(net, sinks, compiled=compiled, tracer=tracer)
-    if reasons:
-        return Simulator(net, sinks, trace=trace, tracer=tracer)
-    return CompiledSimulator(net, sinks, compiled=compiled, tracer=tracer)
+    return Simulator(net, sinks, trace=trace, tracer=tracer)

@@ -1,4 +1,4 @@
-"""Differential testing: reference vs compiled vs batched engines.
+"""Differential testing: reference vs compiled vs batched evaluation.
 
 The compiled engine (:mod:`repro.petri.compiled`) promises *bit-identical*
 ``SimResult``s to the reference interpreter on every net it supports.  This
@@ -8,12 +8,13 @@ times and payloads, fired counts, deadlock/deadline flags, residual markings,
 per-transition statistics, and even the type and message of any raised
 error — matches exactly.
 
-The batch engines (:mod:`repro.petri.batched`) make the same promise *per
+:class:`~repro.petri.batched.BatchEvaluator` makes the same promise *per
 item*: evaluating a matrix of workloads must give, for every item, exactly
 what a tracing-disabled :class:`CompiledSimulator` gives when run on that
-item in isolation.  :func:`compare_batch_engines` asserts it for both batch
-engines (the chain-recurrence codegen where the net supports it, the
-columnar event loop always).
+item in isolation.  :func:`compare_batch_engines` asserts it with one
+evaluator per case, which takes the chain recurrence (codegen) where the
+net's shape allows and the compiled event loop otherwise — including the
+codegen items that re-run on the loop (mid-chain injections, zero delays).
 
 Case families:
 
@@ -25,7 +26,7 @@ Case families:
   fan-out/merge, guard splits, timeouts, finite capacities, deadlocks).
 * :func:`batch_cases` — batched-vs-compiled matrices over every
   accelerator net, seeded random chains (codegen coverage), the random
-  structural nets above (columnar coverage), and hand-picked edge items
+  structural nets above (event-loop coverage), and hand-picked edge items
   (zero/negative callable delays, empty items, mid-chain injections).
 
 Run as a script for the CI parity smoke job::
@@ -40,7 +41,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from .batched import BatchEvaluator, BatchItemResult, codegen_supported
+from .batched import BatchEvaluator, BatchItemResult
 from .compiled import CompiledSimulator, unsupported_features
 from .errors import PetriError
 from .net import PetriNet
@@ -359,7 +360,7 @@ class BatchDiffCase:
 def batch_summarize(result: BatchItemResult) -> tuple:
     """Canonical digest of one batch item — the batched counterpart of
     :func:`summarize`, trimmed to what a :class:`BatchItemResult`
-    carries (the batch engines never allocate ``Completion`` objects)."""
+    carries (batched evaluation never allocates ``Completion`` objects)."""
     return (
         result.makespan,
         result.end_time,
@@ -403,54 +404,47 @@ def _compiled_item_digest(build: BatchBuilder, item: BatchItem) -> tuple:
     )
 
 
-def compare_batch_engines(case: BatchDiffCase) -> dict[str, list[tuple]]:
-    """Assert every batch engine reproduces the compiled baseline on
-    *case*, item for item.
+def compare_batch_engines(case: BatchDiffCase) -> tuple[str, list[tuple]]:
+    """Assert one :class:`BatchEvaluator` reproduces the compiled baseline
+    on *case*, item for item.
 
-    The columnar engine runs always; the codegen engine additionally
-    runs when the net is a supported chain.  When the baseline errors on
-    item *k*, the batch engine must evaluate items ``0..k-1`` cleanly
-    and then raise the identical error (type and message) on a matrix
-    that includes item *k*.  Returns ``{engine: per-item digests}``.
+    When the baseline errors on item *k*, the evaluator must evaluate
+    items ``0..k-1`` cleanly and then raise the identical error (type and
+    message) on a matrix that includes item *k*.  Returns the evaluator's
+    ``engine`` (``"codegen"`` or ``"loop"``) and the per-item digests.
     """
     baseline = [_compiled_item_digest(case.build, item) for item in case.items]
     first_error = next((i for i, d in enumerate(baseline) if d[0] == "error"), None)
     ok_until = first_error if first_error is not None else len(case.items)
     net, sinks = case.build()
-    engines = ["columnar"]
-    if codegen_supported(net, list(sinks)):
-        engines.append("codegen")
-    out: dict[str, list[tuple]] = {}
-    for engine in engines:
+    evaluator = BatchEvaluator(net, list(sinks))
+    results = evaluator.evaluate(case.items[:ok_until], collect=True)
+    digests = [("ok", batch_summarize(r)) for r in results]
+    for i, (want, got) in enumerate(zip(baseline[:ok_until], digests)):
+        if want != got:
+            raise EngineMismatch(
+                f"{case.name}[item {i}] ({evaluator.engine}): batch evaluator "
+                f"disagrees with compiled baseline\n"
+                f"  compiled: {want!r}\n  batched:  {got!r}"
+            )
+    if first_error is not None:
         net, sinks = case.build()
-        evaluator = BatchEvaluator(net, list(sinks), engine=engine)
-        results = evaluator.evaluate(case.items[:ok_until], collect=True)
-        digests = [("ok", batch_summarize(r)) for r in results]
-        for i, (want, got) in enumerate(zip(baseline[:ok_until], digests)):
-            if want != got:
-                raise EngineMismatch(
-                    f"{case.name}[item {i}] ({engine}): batch engine disagrees "
-                    f"with compiled baseline\n"
-                    f"  compiled: {want!r}\n  batched:  {got!r}"
-                )
-        if first_error is not None:
-            net, sinks = case.build()
-            evaluator = BatchEvaluator(net, list(sinks), engine=engine)
-            try:
-                evaluator.evaluate(case.items[: first_error + 1], collect=True)
-            except PetriError as exc:
-                got_err = ("error", type(exc).__name__, str(exc))
-            else:
-                got_err = ("no-error",)
-            if got_err != baseline[first_error]:
-                raise EngineMismatch(
-                    f"{case.name}[item {first_error}] ({engine}): error parity "
-                    f"failed\n"
-                    f"  compiled: {baseline[first_error]!r}\n"
-                    f"  batched:  {got_err!r}"
-                )
-        out[engine] = digests
-    return out
+        try:
+            BatchEvaluator(net, list(sinks)).evaluate(
+                case.items[: first_error + 1], collect=True
+            )
+        except PetriError as exc:
+            got_err = ("error", type(exc).__name__, str(exc))
+        else:
+            got_err = ("no-error",)
+        if got_err != baseline[first_error]:
+            raise EngineMismatch(
+                f"{case.name}[item {first_error}] ({evaluator.engine}): error "
+                f"parity failed\n"
+                f"  compiled: {baseline[first_error]!r}\n"
+                f"  batched:  {got_err!r}"
+            )
+    return evaluator.engine, digests
 
 
 def _interface_batch_case(
@@ -548,8 +542,8 @@ def random_structural_batch_case(seed: int) -> BatchDiffCase:
     """The :func:`random_net` structural family, batched.
 
     Guards, weighted arcs, timeouts, multi-server stages and deadlocks
-    all route to the columnar engine (codegen rejects them), so this is
-    the columnar engine's parity coverage."""
+    all keep a net off the codegen recurrence, so this family is the
+    batched event loop's parity coverage."""
 
     def build() -> tuple[PetriNet, Sequence[str]]:
         net, sinks, _ = random_net(seed)
@@ -611,7 +605,7 @@ def edge_batch_cases() -> list[BatchDiffCase]:
                 [("in", k, 0.0) for k in range(6)],
             ],
         ),
-        # Mid-chain injection: codegen must hand that item to columnar.
+        # Mid-chain injection: codegen must hand that item to the loop.
         BatchDiffCase(
             "edge[mid-place]",
             chain2,
@@ -621,7 +615,7 @@ def edge_batch_cases() -> list[BatchDiffCase]:
             ],
         ),
         # Even payloads make the callable delay return 0.0: codegen bails
-        # out on those items and the columnar rerun must still match.
+        # out on those items and the event-loop rerun must still match.
         BatchDiffCase(
             "edge[zero-delay-bailout]",
             zero_delay,
@@ -647,7 +641,7 @@ def edge_batch_cases() -> list[BatchDiffCase]:
 
 def batch_cases() -> list[BatchDiffCase]:
     """Every batched parity case: accelerator matrices, random chains
-    (codegen), random structural nets (columnar), and edge scenarios."""
+    (codegen), random structural nets (event loop), and edge scenarios."""
     cases = accel_batch_cases() + edge_batch_cases()
     cases += [random_chain_case(k) for k in range(12)]
     cases += [random_structural_batch_case(500 + k) for k in range(8)]
@@ -656,10 +650,10 @@ def batch_cases() -> list[BatchDiffCase]:
 
 def run_batch_differential(
     cases: Sequence[BatchDiffCase],
-) -> dict[str, dict[str, list[tuple]]]:
-    """Run every batch case through every applicable batch engine;
-    return ``{name: {engine: digests}}``.  Raises
-    :class:`EngineMismatch` on the first per-item disagreement."""
+) -> dict[str, tuple[str, list[tuple]]]:
+    """Run every batch case through its :class:`BatchEvaluator`; return
+    ``{name: (engine, digests)}``.  Raises :class:`EngineMismatch` on
+    the first per-item disagreement."""
     return {case.name: compare_batch_engines(case) for case in cases}
 
 
@@ -722,11 +716,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     bcases = batch_cases()
     bresults = run_batch_differential(bcases)
     n_items = sum(len(case.items) for case in bcases)
-    n_codegen = sum(1 for engines in bresults.values() if "codegen" in engines)
+    n_codegen = sum(1 for engine, _ in bresults.values() if engine == "codegen")
     print(
         f"batched parity OK: {len(bcases)} matrices / {n_items} items vs the "
         f"tracing-disabled compiled baseline "
-        f"({n_codegen} matrices also ran the codegen engine)"
+        f"({n_codegen} matrices on the codegen recurrence)"
     )
     return 0
 

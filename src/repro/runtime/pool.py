@@ -701,7 +701,7 @@ def rpc_device(
 
         device = ResilientDevice(
             ProtoaccSerializerModel(tracer=tracer),
-            protoacc_petri(engine="compiled", cache=cache, tracer=tracer),
+            protoacc_petri(cache=cache, tracer=tracer),
             fallback,
             fault_plan=fault_plan,
             watchdog=Watchdog(budget=20_000.0),
@@ -718,7 +718,7 @@ def rpc_device(
 
         device = ResilientDevice(
             OptimusPrimeModel(),
-            optimus_petri(engine="compiled", cache=cache, tracer=tracer),
+            optimus_petri(cache=cache, tracer=tracer),
             fallback,
             fault_plan=fault_plan,
             watchdog=Watchdog(budget=20_000.0),

@@ -17,9 +17,9 @@ then need tooling to inspect and run what they received.  Subcommands:
 * ``dot FILE`` — emit Graphviz DOT for rendering.
 * ``simulate FILE --items N [--payload JSON] [--gap G] [--engine E]``
   (alias: ``run``) — inject a workload and report latency/throughput
-  statistics; ``--engine`` picks the compiled fast path, the reference
-  interpreter, automatic selection, or ``batched`` (the whole-matrix
-  engines — see ``docs/performance.md``).  ``--batch FILE.jsonl``
+  statistics; ``--engine`` picks automatic selection (the compiled
+  fast path when the net supports it), the reference interpreter, or
+  ``batched`` (one batch pass — see ``docs/performance.md``).  ``--batch FILE.jsonl``
   evaluates one workload item per line (each line a JSON features
   dict used as that item's token payload) in a single batch pass.
 
@@ -177,7 +177,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = []
     for name, bundle in _verify_jobs(args.target):
         report, verification = verify_bundle(
-            bundle, epsilon=args.epsilon, engine=args.engine or "auto"
+            bundle, epsilon=args.epsilon, engine=args.engine
         )
         worst = max(worst, report.exit_code)
         if args.json:
@@ -266,7 +266,7 @@ def cmd_batched(args: argparse.Namespace, net, payloads: list) -> int:
     print(
         f"batch engine: {evaluator.engine} "
         f"(codegen={evaluator.items_codegen}, "
-        f"columnar={evaluator.items_columnar})"
+        f"loop={evaluator.items_loop})"
     )
     print(f"makespan (cycles): {Summary.of([r.makespan for r in results])}")
     rate = len(results) / elapsed if elapsed > 0 else float("inf")
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--engine",
-        default=None,
+        default="auto",
         choices=list(ENGINES),
         help="simulation engine for corner concretization",
     )
@@ -394,13 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
         p_sim.add_argument("--sink", default="out", help="completion place")
         p_sim.add_argument(
             "--engine",
-            default=None,
+            default="auto",
             choices=[*ENGINES, "batched"],
-            help="simulation engine (default: REPRO_PETRI_ENGINE or auto; "
-            "auto compiles when the net is supported, else falls back to "
-            "the reference interpreter; batched evaluates the workload "
-            "through the whole-matrix engines, honoring "
-            "REPRO_PETRI_BATCH_ENGINE)",
+            help="simulation engine: auto (default) compiles when the net "
+            "is supported, else falls back to the reference interpreter; "
+            "reference always interprets; batched evaluates the workload "
+            "in one batch pass (the codegen recurrence for chain nets, the "
+            "compiled event loop otherwise)",
         )
         p_sim.add_argument(
             "--batch",

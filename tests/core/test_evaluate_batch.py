@@ -40,10 +40,7 @@ def test_petri_interface_batch_matches_per_item_latency():
     assert batched == per_item  # bit-identical, not approx
 
 
-def test_batch_takes_the_batch_engine_exactly_once(monkeypatch):
-    from repro.petri.batched import BATCH_ENGINE_ENV_VAR
-
-    monkeypatch.delenv(BATCH_ENGINE_ENV_VAR, raising=False)
+def test_batch_takes_the_batch_engine_exactly_once():
     iface = jpeg.petri_interface()
     assert iface.batch_evaluator is None  # lazy: nothing built yet
     iface.evaluate_batch(IMAGES)
@@ -52,15 +49,35 @@ def test_batch_takes_the_batch_engine_exactly_once(monkeypatch):
     assert ev.items_codegen == len(IMAGES)
 
 
-def test_pinned_engine_falls_back_to_per_item(monkeypatch):
-    from repro.petri.compiled import ENGINE_ENV_VAR
-
-    monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
+def test_pinned_engine_falls_back_to_per_item():
     iface = jpeg.petri_interface()
+    iface.engine = "reference"
     pinned = iface.evaluate_batch(IMAGES[:3])
     assert iface.batch_evaluator is None  # never built an engine
-    monkeypatch.delenv(ENGINE_ENV_VAR)
     assert pinned == jpeg.petri_interface().evaluate_batch(IMAGES[:3])
+
+
+def test_interface_lowers_its_net_once_across_cache_misses(monkeypatch):
+    from repro.accel.optimusprime import petri_interface
+    from repro.petri import CompiledNet
+    from repro.workloads import ENTERPRISE_MIX
+
+    lowered = []
+    init = CompiledNet.__init__
+
+    def counting_init(self, net):
+        lowered.append(net.name)
+        init(self, net)
+
+    monkeypatch.setattr(CompiledNet, "__init__", counting_init)
+    iface = petri_interface(cache=EvalCache())
+    msgs = ENTERPRISE_MIX.sample(seed=3, count=12)
+    for msg in msgs[:8]:
+        iface.latency(msg)
+        iface.predict_decomposition(msg)
+    iface.evaluate_batch(msgs[8:])
+    assert iface.cache.stats.misses >= 8  # every scalar call simulated
+    assert len(lowered) == 1
 
 
 def test_tracer_falls_back_to_per_item():
@@ -79,11 +96,11 @@ def test_cache_hits_skip_the_engine_entirely():
     iface.cache = EvalCache()
     first = iface.evaluate_batch(IMAGES)
     ev = iface.batch_evaluator
-    engine_items = ev.items_codegen + ev.items_columnar
+    engine_items = ev.items_codegen + ev.items_loop
     second = iface.evaluate_batch(IMAGES)
     assert first == second
     assert iface.cache.stats.hits == len(IMAGES)
-    assert ev.items_codegen + ev.items_columnar == engine_items  # no new work
+    assert ev.items_codegen + ev.items_loop == engine_items  # no new work
 
 
 def test_validate_interface_rides_the_batched_path():
@@ -116,7 +133,7 @@ print(json.dumps({{
     "hits": iface.cache.stats.hits,
     "misses": iface.cache.stats.misses,
     "spills": iface.cache.stats.spills,
-    "engine_items": 0 if ev is None else ev.items_codegen + ev.items_columnar,
+    "engine_items": 0 if ev is None else ev.items_codegen + ev.items_loop,
 }}))
 """
 

@@ -159,7 +159,6 @@ class TestPipeline:
             lambda: parse(PIPELINE_PNET),
             bounds,
             {"n": (0.0, 3.0)},
-            engine="compiled",
         )
         assert [c.ok for c in checks] == [True, True]
         simulated = sorted(c.simulated for c in checks)

@@ -1,4 +1,4 @@
-"""Batch engines: chain detection, routing, and per-item compiled parity.
+"""Batched evaluation: chain detection, routing, and per-item compiled parity.
 
 The parity sections drive ``repro.petri.differential``'s batched case
 families — the same harness the CI engine-parity job runs — so a local
@@ -14,11 +14,8 @@ from repro.petri import (
     PetriNet,
     chain_spec,
     chain_unsupported_reasons,
-    codegen_supported,
-    default_batch_engine,
     parse,
 )
-from repro.petri.batched import BATCH_ENGINE_ENV_VAR
 from repro.petri.differential import (
     accel_batch_cases,
     batch_cases,
@@ -65,10 +62,9 @@ def items_for(n_items, per_item=8):
 
 
 def test_dsl_chain_is_codegen_supported():
-    net = chain_net()
-    assert chain_unsupported_reasons(net, ["out"]) == []
-    assert codegen_supported(net, ["out"])
-    spec = chain_spec(net, ["out"])
+    c = CompiledNet(chain_net())
+    assert chain_unsupported_reasons(c, ["out"]) == []
+    spec = chain_spec(c, ["out"])
     assert spec.stage_names == ("a", "b")
     assert spec.out_caps == (3, None)
     # The DSL expr delay is inlinable; the constant stage has no fn.
@@ -95,9 +91,10 @@ def test_dsl_chain_is_codegen_supported():
 def test_non_chain_features_are_rejected(mutate, fragment):
     net = chain_net()
     mutate(net)
-    reasons = chain_unsupported_reasons(net, ["out"])
+    c = CompiledNet(net)
+    reasons = chain_unsupported_reasons(c, ["out"])
     assert reasons and any(fragment in r for r in reasons)
-    assert chain_spec(net, ["out"]) is None
+    assert chain_spec(c, ["out"]) is None
 
 
 def test_fan_out_topology_is_rejected():
@@ -107,7 +104,7 @@ def test_fan_out_topology_is_rejected():
     net.add_place("out")
     net.add_transition("t1", ["in"], ["a"], delay=1, servers=1)
     net.add_transition("t2", ["in"], ["out"], delay=1, servers=1)
-    assert not codegen_supported(net, ["out"])
+    assert chain_unsupported_reasons(CompiledNet(net), ["out"])
 
 
 # ----------------------------------------------------------------------
@@ -115,31 +112,27 @@ def test_fan_out_topology_is_rejected():
 # ----------------------------------------------------------------------
 
 
-def test_auto_engine_picks_codegen_for_chains(monkeypatch):
-    monkeypatch.delenv(BATCH_ENGINE_ENV_VAR, raising=False)
+def test_auto_engine_picks_codegen_for_chains():
     ev = BatchEvaluator(chain_net(), ["out"])
     assert ev.engine == "codegen"
     ev.evaluate(items_for(3))
-    assert ev.items_codegen == 3 and ev.items_columnar == 0
-
-
-def test_forced_columnar_never_uses_codegen():
-    ev = BatchEvaluator(chain_net(), ["out"], engine="columnar")
-    assert ev.engine == "columnar"
-    ev.evaluate(items_for(2))
-    assert ev.items_codegen == 0 and ev.items_columnar == 2
+    assert ev.items_codegen == 3 and ev.items_loop == 0
 
 
 def test_forced_codegen_rejects_non_chain_nets():
+    # The net's shape alone picks the path: a multi-server stage keeps
+    # the chain off the recurrence, so every item runs the event loop.
     net = chain_net()
     net.transitions["a"].servers = 4
-    with pytest.raises(SimulationError, match="codegen"):
-        BatchEvaluator(net, ["out"], engine="codegen")
+    ev = BatchEvaluator(net, ["out"])
+    assert ev.engine == "loop"
+    ev.evaluate(items_for(2))
+    assert ev.items_codegen == 0 and ev.items_loop == 2
 
 
 def test_unknown_engine_and_place_raise():
-    with pytest.raises(ValueError, match="unknown batch engine"):
-        BatchEvaluator(chain_net(), ["out"], engine="warp")
+    with pytest.raises(TypeError, match="engine"):
+        BatchEvaluator(chain_net(), ["out"], engine="columnar")  # no engine knob
     ev = BatchEvaluator(chain_net(), ["out"])
     with pytest.raises(SimulationError, match="unknown place"):
         ev.evaluate([[("nowhere", {"x": 1}, 0.0)]])
@@ -159,6 +152,24 @@ def test_shared_compiled_net_must_belong_to_the_net():
         BatchEvaluator(net, ["out"], compiled=CompiledNet(other))
 
 
+def test_batch_evaluator_lowers_its_net_once(monkeypatch):
+    lowered = []
+    init = CompiledNet.__init__
+
+    def counting_init(self, net):
+        lowered.append(net.name)
+        init(self, net)
+
+    monkeypatch.setattr(CompiledNet, "__init__", counting_init)
+    chain = BatchEvaluator(chain_net(), ["out"])
+    assert chain.engine == "codegen" and len(lowered) == 1
+    net = chain_net()
+    net.transitions["a"].servers = 4  # off the recurrence: every item loops
+    loop = BatchEvaluator(net, ["out"])
+    loop.evaluate(items_for(3))
+    assert loop.items_loop == 3 and len(lowered) == 2
+
+
 def test_evaluate_makespans_matches_per_item_compiled_runs():
     items = items_for(4)
     got = BatchEvaluator(chain_net(), ["out"]).evaluate_makespans(items)
@@ -171,15 +182,6 @@ def test_evaluate_makespans_matches_per_item_compiled_runs():
     assert got == want  # bit-identical, not approx
 
 
-def test_env_var_forces_batch_engine(monkeypatch):
-    monkeypatch.setenv(BATCH_ENGINE_ENV_VAR, "columnar")
-    assert default_batch_engine() == "columnar"
-    assert BatchEvaluator(chain_net(), ["out"]).engine == "columnar"
-    monkeypatch.setenv(BATCH_ENGINE_ENV_VAR, "warp-drive")
-    with pytest.raises(ValueError, match=BATCH_ENGINE_ENV_VAR):
-        default_batch_engine()
-
-
 # ----------------------------------------------------------------------
 # Differential parity vs the compiled engine (the contract)
 # ----------------------------------------------------------------------
@@ -187,15 +189,13 @@ def test_env_var_forces_batch_engine(monkeypatch):
 
 @pytest.mark.parametrize("case", accel_batch_cases(), ids=lambda c: c.name)
 def test_accelerator_batch_parity(case):
-    digests = compare_batch_engines(case)
-    assert "columnar" in digests
-    for per_item in digests.values():
-        assert all(d[0] == "ok" for d in per_item)
+    _, digests = compare_batch_engines(case)
+    assert all(d[0] == "ok" for d in digests)
 
 
 def test_chain_shaped_accelerators_exercise_codegen():
-    by_name = {c.name: compare_batch_engines(c) for c in accel_batch_cases()}
-    codegen_nets = {n for n, d in by_name.items() if "codegen" in d}
+    by_name = {c.name: compare_batch_engines(c)[0] for c in accel_batch_cases()}
+    codegen_nets = {n for n, engine in by_name.items() if engine == "codegen"}
     # The acceptance bar: at least two real accelerator nets run the
     # codegen engine with proven per-item equality.
     assert {"jpeg", "optimusprime"} <= codegen_nets
@@ -208,9 +208,8 @@ def test_edge_batch_parity(case):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_random_chain_batch_parity(seed):
-    case = random_chain_case(seed)
-    digests = compare_batch_engines(case)
-    assert "codegen" in digests  # the family must exercise codegen
+    engine, _ = compare_batch_engines(random_chain_case(seed))
+    assert engine == "codegen"  # the family must exercise codegen
 
 
 @pytest.mark.parametrize("seed", [500, 501, 502, 503])
