@@ -57,14 +57,15 @@ def jpeg_row():
 def vta_row():
     model = VtaModel()
     iface = vta_pkg.petri_interface()
-    cache = EvalCache()
     lat_progs = random_programs(12, scale(VTA_N_LATENCY), max_dim=6)
     lat = validate_interface(
-        iface, model, lat_progs, check_throughput=False, cache=cache
+        iface, model, lat_progs, check_throughput=False, cache=EvalCache()
     )
     tput_progs = random_programs(13, scale(VTA_N_TPUT), max_dim=5)
+    # Streamed throughput simulates the net directly (no makespan to
+    # cache), so only the latency pass reports cache accounting.
     tput = validate_interface(
-        iface, model, tput_progs, check_latency=False, throughput_repeat=6, cache=cache
+        iface, model, tput_progs, check_latency=False, throughput_repeat=6
     )
     # The shipped artifact: the net builder plus its delay formulas.
     artifact = "\n".join(
@@ -121,8 +122,7 @@ def test_table1_vta_row(benchmark, report):
         f"throughput error: {tput.throughput.as_percent()}   (paper: 1.44% / 8.55%)",
         f"complexity: {complexity.as_percent()} of implementation "
         f"({complexity.interface_loc}/{complexity.implementation_loc} LoC; paper: 2.6% of RTL)",
-        f"evaluation (latency pass)    {lat.cache_stats}",
-        f"evaluation (throughput pass) {tput.cache_stats} "
+        f"evaluation (latency pass) {lat.cache_stats} "
         "(repro.perf memoization; errors unaffected)",
     ]
     report("E5_table1_vta", "\n".join(lines))

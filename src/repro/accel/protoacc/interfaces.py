@@ -207,7 +207,7 @@ def petri_interface(*, engine="auto", cache=None, tracer=None):
 
     ``engine``/``cache``/``tracer`` pass through to
     :class:`~repro.core.petrinet.PetriNetInterface` — the pool runtime
-    runs this net on the compiled engine with a shared
+    prices this net on the batch engine with a shared
     :class:`~repro.perf.EvalCache` so routing stays cheap; a tracer
     makes each simulation's firings visible as ``petri.*`` spans.
     """

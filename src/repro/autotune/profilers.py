@@ -150,21 +150,11 @@ class MemoizedProfiler(Profiler):
     def _profile_batch(self, programs: list[Program]) -> list[float]:
         """Look every candidate up first, then batch only the misses
         through the inner tier — so memoization and batching compose."""
-        namespace = f"profiler:{self.inner.name}"
-        out: list[float | None] = [None] * len(programs)
-        misses: list[int] = []
-        for i, program in enumerate(programs):
-            hit = self.cache.get(namespace, program)
-            if hit is self.cache.MISS:
-                misses.append(i)
-            else:
-                out[i] = hit
-        if misses:
-            computed = self.inner._profile_batch([programs[i] for i in misses])
-            for i, value in zip(misses, computed):
-                self.cache.put(namespace, programs[i], value)
-                out[i] = value
-        return out  # type: ignore[return-value]
+        return self.cache.get_many(
+            f"profiler:{self.inner.name}",
+            programs,
+            lambda misses: self.inner._profile_batch([programs[i] for i in misses]),
+        )
 
     def cache_summary(self) -> str:
         """Hit/miss accounting for reports (e.g. the E6 table)."""

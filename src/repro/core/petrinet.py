@@ -16,11 +16,13 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generic, TypeVar
 
+from repro.hw.stats import exact_residual
 from repro.petri import (
     BatchEvaluator,
     CompiledNet,
     PetriNet,
     SimResult,
+    SimulationError,
     make_simulator,
     supports,
 )
@@ -79,28 +81,6 @@ class PredictedDecomposition:
     transitions: dict[str, float]  # per-transition busy cycles
 
 
-def _exact_residual(prefix: list[float], total: float) -> float:
-    """Residual ``r`` with ``fold(prefix + [r]) == total`` bit-exactly
-    (float addition is not associative, so the first guess can be an
-    ulp off; nudge until the left-to-right fold lands).  Kept local —
-    ``repro.core`` sits below ``repro.obs`` in the dependency order, so
-    it cannot import the attribution module's twin."""
-
-    def fold(values) -> float:
-        acc = 0.0
-        for v in values:
-            acc += v
-        return acc
-
-    residual = total - fold(prefix)
-    for _ in range(64):
-        current = fold(prefix) + residual
-        if current == total:
-            return residual
-        residual += total - current
-    return residual
-
-
 class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
     """Runs a performance-IR net over workload items.
 
@@ -116,8 +96,9 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             produce.  Defaults to the number of injected tokens; nets
             with resident bookkeeping tokens (mutexes, credits) override
             this, since those legitimately remain after quiescence.
-        engine: Simulation engine — ``"auto"`` (compiled when supported,
-            with a documented fallback) or ``"reference"``.
+        engine: Simulation engine — ``"auto"`` (the batch engine when
+            the net is in the compiled subset, the reference interpreter
+            otherwise) or ``"reference"``.
         cache: Optional :class:`repro.perf.EvalCache`: identical
             (net, injections) evaluations are served from the cache
             instead of re-simulated.  May also be attached later by
@@ -158,13 +139,19 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         # unsupported) and batch evaluator, each built on first use, so
         # a warm-cache process never lowers the net at all.
         self._compiled: CompiledNet | None | bool = False
-        self._batch: BatchEvaluator | None = None
+        self.batch_evaluator: BatchEvaluator | None = None
 
     def _lowering(self) -> CompiledNet | None:
         """The net lowered once for every simulation this interface runs."""
         if self._compiled is False:
             self._compiled = CompiledNet(self.net) if supports(self.net) else None
         return self._compiled  # type: ignore[return-value]
+
+    def _tokens(self, item: ItemT) -> tuple[Sequence[Injection], int]:
+        """``item``'s injections and how many completions they must make."""
+        injections = self.tokenize(item)
+        expected = self._expected
+        return injections, len(injections) if expected is None else expected(item)
 
     def _simulate(
         self, injections: Sequence[Injection], expected: int, tracer
@@ -189,27 +176,6 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             )
         return result
 
-    def _run(self, injections: Sequence[Injection], expected: int) -> SimResult:
-        def compute() -> SimResult:
-            return self._simulate(injections, expected, self.tracer)
-
-        if self.cache is None:
-            return compute()
-        features = (expected, [(i.place, i.payload, i.at) for i in injections])
-        return self.cache.get_or_compute(self.net, features, compute)
-
-    def simulate(self, item: ItemT) -> SimResult:
-        """Run the net on one item and return the raw result."""
-        injections = self.tokenize(item)
-        expected = (
-            self._expected(item) if self._expected is not None else len(injections)
-        )
-        return self._run(injections, expected)
-
-    def latency(self, item: ItemT) -> float:
-        result = self.simulate(item)
-        return result.makespan() + self.epilogue
-
     def predict_decomposition(
         self,
         item: ItemT,
@@ -228,38 +194,22 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         dedicated ``("stages", ...)`` key (JSON-friendly, so it spills
         to the persistent cache tier like makespans do).
         """
-        injections = self.tokenize(item)
-        expected = (
-            self._expected(item) if self._expected is not None else len(injections)
-        )
-        features = (
-            "stages",
-            expected,
-            [(i.place, i.payload, i.at) for i in injections],
-        )
-        per_transition: dict[str, float] | None = None
-        makespan = 0.0
-        if self.cache is not None:
-            hit = self.cache.get(self.net, features)
-            if hit is not self.cache.MISS:
-                makespan, pairs = hit
-                per_transition = {str(n): float(c) for n, c in pairs}
-        if per_transition is None:
+        injections, expected = self._tokens(item)
+        features = ("stages", expected, [(i.place, i.payload, i.at) for i in injections])
+
+        def harvest() -> list:
             # The harvest needs its own simulation: latency() may be
-            # answered from the makespan cache without running the net,
-            # and a cache hit leaves busy_time stale.  run() resets the
-            # net first, so post-run busy_time IS this run's harvest.
-            result = self._simulate(injections, expected, None)
-            makespan = result.makespan()
-            per_transition = {
-                n: t.busy_time for n, t in self.net.transitions.items()
-            }
-            if self.cache is not None:
-                self.cache.put(
-                    self.net,
-                    features,
-                    [makespan, [[n, c] for n, c in per_transition.items()]],
-                )
+            # answered from the makespan cache without running the net.
+            # run() resets the net first, so post-run busy_time IS this
+            # run's harvest.
+            makespan = self._simulate(injections, expected, None).makespan()
+            return [makespan, [[n, t.busy_time] for n, t in self.net.transitions.items()]]
+
+        if self.cache is None:
+            makespan, pairs = harvest()
+        else:
+            makespan, pairs = self.cache.get_or_compute(self.net, features, harvest)
+        per_transition = {str(n): float(c) for n, c in pairs}
         total = makespan + self.epilogue
         if stage_map is None:
             classify: Callable[[str], str] = default_stage_map
@@ -272,7 +222,7 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             stage = classify(name)
             folded[stage] = folded.get(stage, 0.0) + cycles
         folded["epilogue"] = self.epilogue
-        folded["overlap"] = _exact_residual(list(folded.values()), total)
+        folded["overlap"] = exact_residual(list(folded.values()), total)
         return PredictedDecomposition(
             accelerator=self.accelerator,
             total=total,
@@ -281,82 +231,61 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         )
 
     # ------------------------------------------------------------------
-    # Batched evaluation
+    # Pricing
     # ------------------------------------------------------------------
-    @property
-    def batch_evaluator(self) -> BatchEvaluator | None:
-        """The batch engine this interface has built, if any (exposes
-        ``engine`` / ``items_codegen`` / ``items_loop`` for tests,
-        benches, and reports)."""
-        return self._batch
-
     def _batch_engine(self) -> BatchEvaluator | None:
-        if self._batch is None and (compiled := self._lowering()) is not None:
-            self._batch = BatchEvaluator(self.net, (self.sink,), compiled=compiled)
-        return self._batch
+        if self.batch_evaluator is None and (compiled := self._lowering()) is not None:
+            self.batch_evaluator = BatchEvaluator(self.net, (self.sink,), compiled=compiled)
+        return self.batch_evaluator
+
+    def latency(self, item: ItemT) -> float:
+        return self._evaluate((item,))[0]
 
     def evaluate_batch(self, items: Sequence[ItemT]) -> list[float]:
-        """Latency for every item through the batch engine.
+        """Latency for every item: one tokenize and cache pass, then all
+        the misses in one engine call.  Bit-identical per item to
+        :meth:`latency`, which runs the same routine on a batch of one."""
+        return self._evaluate(items)
 
-        The net is lowered once and all cache misses run in a single
-        pass — bit-identical per item to the compiled engine (enforced
-        by ``repro.petri.differential``).  Falls back to the per-item
-        path on ``engine="reference"``, when an enabled tracer is attached
-        (the batch engine emits no spans, and a trace must show the work
-        done), or when the net uses features the compiled form does not
-        support.
+    def _evaluate(self, items: Sequence[ItemT]) -> list[float]:
+        """The one pricing path behind :meth:`latency` and
+        :meth:`evaluate_batch`.
 
-        With a cache attached, makespans are cached under a dedicated
-        ``("makespan", ...)`` feature key whose values are plain floats
-        — so they spill to a persistent tier and a warm process answers
-        the whole batch with zero engine invocations.
+        Makespans are cached as plain floats under ``("makespan",
+        expected, injections)``, so every entry spills to a persistent
+        tier.  On ``engine="auto"`` the misses run on the shared
+        :class:`BatchEvaluator`, traced if a tracer is attached; on
+        ``engine="reference"`` or a net outside the compiled subset each
+        miss runs :meth:`_simulate`.
         """
-        tracing = self.tracer is not None and getattr(self.tracer, "enabled", True)
-        if self.engine != "auto" or tracing:
-            return [self.latency(item) for item in items]
-        injections = [self.tokenize(item) for item in items]
-        expecteds = [
-            self._expected(item) if self._expected is not None else len(injs)
-            for item, injs in zip(items, injections)
-        ]
-        out: list[float | None] = [None] * len(items)
-        misses: list[int] = []
-        feats: list[Any] = [None] * len(items)
-        if self.cache is not None:
-            for i, injs in enumerate(injections):
-                feats[i] = (
-                    "makespan",
-                    expecteds[i],
-                    [(inj.place, inj.payload, inj.at) for inj in injs],
-                )
-                hit = self.cache.get(self.net, feats[i])
-                if hit is self.cache.MISS:
-                    misses.append(i)
-                else:
-                    out[i] = hit + self.epilogue
-        else:
-            misses = list(range(len(items)))
-        if misses:
-            evaluator = self._batch_engine()
+        tokens = [self._tokens(item) for item in items]
+
+        def compute(misses: list[int]) -> list[float]:
+            evaluator = self._batch_engine() if self.engine == "auto" else None
             if evaluator is None:
-                # Unsupported net: the per-item path (with its own
-                # reference-engine fallback) handles these items.
-                for i in misses:
-                    out[i] = self.latency(items[i])
-                return out  # type: ignore[return-value]
-            results = evaluator.evaluate([injections[i] for i in misses])
+                return [self._simulate(*tokens[i], self.tracer).makespan() for i in misses]
+            results = evaluator.evaluate([tokens[i][0] for i in misses], tracer=self.tracer)
             for i, res in zip(misses, results):
-                done = res.counts.get(self.sink, 0)
-                if done != expecteds[i]:
-                    # Re-run the stuck item per-item: _run raises the
-                    # canonical completed-n/m error with the marking.
-                    res_full = self._run(injections[i], expecteds[i])
-                    out[i] = res_full.makespan() + self.epilogue
-                    continue
-                if self.cache is not None and feats[i] is not None:
-                    self.cache.put(self.net, feats[i], res.makespan)
-                out[i] = res.makespan + self.epilogue
-        return out  # type: ignore[return-value]
+                done, expected = res.counts.get(self.sink, 0), tokens[i][1]
+                if done != expected:
+                    # A genuinely stuck item raises the canonical
+                    # completed-n/m error (with the marking) here.
+                    self._simulate(*tokens[i], None)
+                    raise SimulationError(
+                        f"net {self.net.name!r}: batch item {i} completed "
+                        f"{done}/{expected} tokens, but it completes when run alone"
+                    )
+            return [res.makespan for res in results]
+
+        if self.cache is None:
+            makespans = compute(list(range(len(items))))
+        else:
+            features = [
+                ("makespan", n, [(inj.place, inj.payload, inj.at) for inj in injs])
+                for injs, n in tokens
+            ]
+            makespans = self.cache.get_many(self.net, features, compute)
+        return [m + self.epilogue for m in makespans]
 
     def describe(self) -> str:
         n_places = len(self.net.places)

@@ -120,6 +120,34 @@ class Reservoir:
         return Summary.of(self._values)
 
 
+def fold(values: Iterable[float]) -> float:
+    """Left-to-right accumulation from 0.0 — the exact association
+    order the bit-exact decomposition invariants are defined over (same
+    as builtin ``sum``)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def exact_residual(prefix: list[float], total: float) -> float:
+    """The residual ``r`` such that folding ``prefix + [r]`` left to
+    right yields *exactly* ``total``.
+
+    ``total - fold(prefix)`` is only the first guess: float addition is
+    not associative, so adding the guess back can land one ulp off.
+    The nudge loop feeds the remaining gap back into the residual until
+    the fold is bit-exact (converges in a couple of iterations for
+    finite inputs; bounded so a pathological input cannot spin)."""
+    residual = total - fold(prefix)
+    for _ in range(64):
+        current = fold(prefix) + residual
+        if current == total:
+            return residual
+        residual += total - current
+    return residual
+
+
 def relative_error(predicted: float, actual: float) -> float:
     """|predicted - actual| / actual, with a guard for zero actuals."""
     if actual == 0:

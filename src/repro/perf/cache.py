@@ -1,7 +1,7 @@
 """Content-addressed result cache for interface evaluations.
 
 An :class:`EvalCache` maps ``(net fingerprint, workload features)`` to a
-previously computed result (a ``SimResult``, a latency, anything).  Keys
+previously computed result (a makespan, a latency, anything).  Keys
 are content hashes — see :mod:`repro.perf.fingerprint` — so two processes
 building the same net from the same source compute the *same* key, and
 mutating a net (a delay formula, an arc weight, a capacity) changes its
@@ -14,17 +14,17 @@ With ``path=`` the cache gains a persistent tier — an append-only JSONL
 file (:class:`repro.perf.store.PersistentStore`) replayed on open, so a
 fresh process warm-starts from every spillable result earlier processes
 computed.  Only JSON-representable values spill (makespans, latencies,
-plain data); richer objects such as ``SimResult`` stay in-memory and are
-counted as ``unspillable``.  Appends are atomic, loads tolerate a
-truncated tail, and :meth:`reload` picks up entries written concurrently
-by other processes.
+plain data); any other object stays in-memory and is counted as
+``unspillable``.  Appends are atomic, loads tolerate a truncated tail,
+and :meth:`reload` picks up entries written concurrently by other
+processes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -85,8 +85,7 @@ class EvalCache:
     def __init__(self, path: str | os.PathLike[str] | None = None) -> None:
         self._store: dict[str, Any] = {}
         self.stats = CacheStats()
-        self._m_hits = self._m_misses = self._m_uncacheable = None
-        self._m_spills = self._m_unspillable = None
+        self._metrics: dict[str, Any] = {}
         self.disk: PersistentStore | None = None
         if path is not None:
             self.disk = PersistentStore(path)
@@ -97,15 +96,16 @@ class EvalCache:
         ``eval_cache_{hits,misses,uncacheable,spills,unspillable}_total``
         counters (with ``labels``).  Only lookups *after* binding are
         counted; rebinding moves future counts to the new registry."""
-        self._m_hits = registry.counter("eval_cache_hits_total", **labels)
-        self._m_misses = registry.counter("eval_cache_misses_total", **labels)
-        self._m_uncacheable = registry.counter(
-            "eval_cache_uncacheable_total", **labels
-        )
-        self._m_spills = registry.counter("eval_cache_spills_total", **labels)
-        self._m_unspillable = registry.counter(
-            "eval_cache_unspillable_total", **labels
-        )
+        self._metrics = {
+            name: registry.counter(f"eval_cache_{name}_total", **labels)
+            for name in ("hits", "misses", "uncacheable", "spills", "unspillable")
+        }
+
+    def _count(self, name: str) -> None:
+        setattr(self.stats, name, getattr(self.stats, name) + 1)
+        metric = self._metrics.get(name)
+        if metric is not None:
+            metric.inc()
 
     def key(self, net: PetriNet | str, features: Any) -> str:
         """Content-addressed key; raises :class:`UncacheableError` when the
@@ -116,30 +116,32 @@ class EvalCache:
         ).hexdigest()
 
     # ------------------------------------------------------------------
-    # Low-level API (the batch evaluation path drives this directly)
+    # Low-level API
     # ------------------------------------------------------------------
+    def _lookup(self, net: PetriNet | str, features: Any) -> tuple[str | None, Any]:
+        """``(key, value)`` with the lookup counted: ``key`` is None for
+        uncacheable features, ``value`` is :data:`MISS` on a miss."""
+        try:
+            key = self.key(net, features)
+        except UncacheableError:
+            self._count("uncacheable")
+            return None, self.MISS
+        value = self._store.get(key, self.MISS)
+        self._count("misses" if value is self.MISS else "hits")
+        return key, value
+
+    def _store_value(self, key: str, value: Any) -> None:
+        self._store[key] = value
+        if self.disk is not None:
+            self._count("spills" if self.disk.append(key, value) else "unspillable")
+
     def get(self, net: PetriNet | str, features: Any) -> Any:
         """The cached value, or :data:`EvalCache.MISS`.
 
         Uncacheable features count as such and report a miss (the caller
         must compute, and must not :meth:`put` the result).
         """
-        try:
-            key = self.key(net, features)
-        except UncacheableError:
-            self.stats.uncacheable += 1
-            if self._m_uncacheable is not None:
-                self._m_uncacheable.inc()
-            return self.MISS
-        if key in self._store:
-            self.stats.hits += 1
-            if self._m_hits is not None:
-                self._m_hits.inc()
-            return self._store[key]
-        self.stats.misses += 1
-        if self._m_misses is not None:
-            self._m_misses.inc()
-        return self.MISS
+        return self._lookup(net, features)[1]
 
     def put(self, net: PetriNet | str, features: Any, value: Any) -> None:
         """Store a computed value, spilling it to the persistent tier
@@ -148,16 +150,7 @@ class EvalCache:
             key = self.key(net, features)
         except UncacheableError:
             return
-        self._store[key] = value
-        if self.disk is not None:
-            if self.disk.append(key, value):
-                self.stats.spills += 1
-                if self._m_spills is not None:
-                    self._m_spills.inc()
-            else:
-                self.stats.unspillable += 1
-                if self._m_unspillable is not None:
-                    self._m_unspillable.inc()
+        self._store_value(key, value)
 
     def reload(self) -> int:
         """Apply entries other processes appended since open/last reload.
@@ -172,41 +165,46 @@ class EvalCache:
     # ------------------------------------------------------------------
     # High-level API
     # ------------------------------------------------------------------
-    def get_or_compute(
+    def get_many(
         self,
         net: PetriNet | str,
-        features: Any,
-        compute: Callable[[], Any],
-    ) -> Any:
-        """Return the cached result for ``(net, features)``, computing and
-        storing it on a miss.  Uncacheable features always compute."""
-        try:
-            key = self.key(net, features)
-        except UncacheableError:
-            self.stats.uncacheable += 1
-            if self._m_uncacheable is not None:
-                self._m_uncacheable.inc()
-            return compute()
-        if key in self._store:
-            self.stats.hits += 1
-            if self._m_hits is not None:
-                self._m_hits.inc()
-            return self._store[key]
-        self.stats.misses += 1
-        if self._m_misses is not None:
-            self._m_misses.inc()
-        value = compute()
-        self._store[key] = value
-        if self.disk is not None:
-            if self.disk.append(key, value):
-                self.stats.spills += 1
-                if self._m_spills is not None:
-                    self._m_spills.inc()
-            else:
-                self.stats.unspillable += 1
-                if self._m_unspillable is not None:
-                    self._m_unspillable.inc()
-        return value
+        features: Sequence[Any],
+        compute: Callable[[list[int]], Sequence[Any]],
+    ) -> list[Any]:
+        """One value per entry of ``features``, in input order.
+
+        Every entry is looked up first; ``compute`` is then called once
+        with the indices of the misses (uncacheable entries included),
+        in order, and must return one value per index.  It is not called
+        when everything hits.  Computed values are stored, except those
+        of uncacheable entries.
+        """
+        out: list[Any] = []
+        misses: list[int] = []
+        keys: list[str | None] = []
+        for i, feature in enumerate(features):
+            key, value = self._lookup(net, feature)
+            if value is self.MISS:
+                misses.append(i)
+                keys.append(key)
+            out.append(value)
+        if misses:
+            values = compute(misses)
+            if len(values) != len(misses):
+                raise ValueError(
+                    f"compute returned {len(values)} values for {len(misses)} misses"
+                )
+            for i, key, value in zip(misses, keys, values):
+                out[i] = value
+                if key is not None:
+                    self._store_value(key, value)
+        return out
+
+    def get_or_compute(self, net: PetriNet | str, features: Any, compute: Callable[[], Any]) -> Any:
+        """The one-item case of :meth:`get_many`: the cached result for
+        ``(net, features)``, computed and stored on a miss.  Uncacheable
+        features always compute."""
+        return self.get_many(net, (features,), lambda _: (compute(),))[0]
 
     def clear(self) -> None:
         """Drop all in-memory entries (counters are kept; use

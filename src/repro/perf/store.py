@@ -26,9 +26,9 @@ design leans on three properties:
   engine computed.  (Non-finite floats are refused: JSON has no
   portable encoding for them.)
 
-Values must be JSON-representable plain data; anything else (e.g. a
-``SimResult`` object) is *unspillable* — it stays in the in-memory tier
-and is counted, never guessed at.
+Values must be JSON-representable plain data; anything else (e.g. an
+object with no JSON form) is *unspillable* — it stays in the in-memory
+tier and is counted, never guessed at.
 
 Duplicate keys are benign: two processes that simulate the same point
 concurrently both append, and replay keeps the last value — which is

@@ -442,14 +442,19 @@ class BatchEvaluator:
         self.items_loop = 0
 
     def evaluate(
-        self, items: Sequence[Sequence[Any]], *, collect: bool = False
+        self, items: Sequence[Sequence[Any]], *, collect: bool = False, tracer=None
     ) -> list[BatchItemResult]:
         """Run every item; one :class:`BatchItemResult` per item, in
         input order.  ``collect=True`` additionally records completion
         times and fired counts (the differential harness's observables).
+        With an enabled ``tracer`` (:class:`repro.obs.Tracer`) every item
+        runs on the compiled event loop and emits exactly the spans a
+        traced :class:`CompiledSimulator` would.
         """
+        if tracer is not None and not getattr(tracer, "enabled", True):
+            tracer = None
         results = []
-        codegen = self._codegen
+        codegen = self._codegen if tracer is None else None
         entry = codegen.spec.entry if codegen is not None else None
         place_index = self.compiled.place_index
         for injections in items:
@@ -471,11 +476,13 @@ class BatchEvaluator:
                     continue
                 except _ZeroDelayBailout:
                     pass  # re-run this item on the event loop
-            results.append(self._run_loop(norm, collect))
+            results.append(self._run_loop(norm, collect, tracer))
             self.items_loop += 1
         return results
 
-    def _run_loop(self, norm: list[tuple[str, Any, float]], collect: bool) -> BatchItemResult:
+    def _run_loop(
+        self, norm: list[tuple[str, Any, float]], collect: bool, tracer=None
+    ) -> BatchItemResult:
         """One item on the compiled event loop, trimmed to a
         :class:`BatchItemResult` (tokens materialize in injection order,
         so uids order same-instant arrivals exactly as
@@ -486,7 +493,11 @@ class BatchEvaluator:
             token = payload if isinstance(payload, Token) else Token(payload=payload)
             pending.append((at, token.uid, place_index[place], token))
         end = run_compiled(
-            self.compiled, self.sinks, pending, CompiledSimulator.MAX_FIRINGS_PER_INSTANT
+            self.compiled,
+            self.sinks,
+            pending,
+            CompiledSimulator.MAX_FIRINGS_PER_INSTANT,
+            tracer=tracer,
         )
         times = {sink: [t for t, _ in arrivals] for sink, arrivals in end.completions.items()}
         return BatchItemResult(

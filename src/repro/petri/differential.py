@@ -10,11 +10,12 @@ error — matches exactly.
 
 :class:`~repro.petri.batched.BatchEvaluator` makes the same promise *per
 item*: evaluating a matrix of workloads must give, for every item, exactly
-what a tracing-disabled :class:`CompiledSimulator` gives when run on that
-item in isolation.  :func:`compare_batch_engines` asserts it with one
-evaluator per case, which takes the chain recurrence (codegen) where the
-net's shape allows and the compiled event loop otherwise — including the
-codegen items that re-run on the loop (mid-chain injections, zero delays).
+what a :class:`CompiledSimulator` gives when run on that item in isolation
+(traced, the same spans too).  :func:`compare_batch_engines` asserts it
+with one evaluator per case, which takes the chain recurrence (codegen)
+where the net's shape allows and the compiled event loop otherwise —
+including the codegen items that re-run on the loop (mid-chain
+injections, zero delays).
 
 Case families:
 
@@ -97,6 +98,15 @@ def summarize(result: SimResult, net: PetriNet) -> tuple:
     )
 
 
+def _new_tracer(tracing: bool) -> Any:
+    """A fresh :class:`~repro.obs.Tracer` when ``tracing``, else None."""
+    if not tracing:
+        return None
+    from repro.obs import Tracer
+
+    return Tracer()
+
+
 def _run_engine(
     engine: str,
     build: Builder,
@@ -112,11 +122,7 @@ def _run_engine(
     diverges between engines.
     """
     net, sinks, load = build()
-    tracer = None
-    if tracing:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
+    tracer = _new_tracer(tracing)
     if engine == "reference":
         sim: Any = Simulator(net, sinks=list(sinks), tracer=tracer)
     else:
@@ -156,7 +162,7 @@ def compare_engines(case: DiffCase, *, tracing: bool = False) -> tuple:
 
 def _interface_case(name: str, make_iface: Callable[[], Any], item: Any) -> DiffCase:
     """Differential case driving an accelerator's PetriNetInterface net
-    through its own tokenizer, exactly as ``PetriNetInterface._run`` does."""
+    through its own tokenizer, exactly as ``PetriNetInterface._simulate`` does."""
 
     def build() -> tuple[PetriNet, Sequence[str], Loader]:
         iface = make_iface()  # fresh net per engine
@@ -373,26 +379,24 @@ def batch_summarize(result: BatchItemResult) -> tuple:
     )
 
 
-def _compiled_item_digest(build: BatchBuilder, item: BatchItem) -> tuple:
-    """Tracing-disabled :class:`CompiledSimulator` baseline for one item
-    run in isolation, in :func:`batch_summarize` form (or a normalized
-    error triple — error parity is part of the batched contract)."""
+def _compiled_item_digest(build: BatchBuilder, item: BatchItem, tracer: Any = None) -> tuple:
+    """:class:`CompiledSimulator` baseline for one item run in isolation
+    (traced into ``tracer`` when given), in :func:`batch_summarize` form
+    (or a normalized error triple — error parity is part of the batched
+    contract)."""
     net, sinks = build()
-    sim = CompiledSimulator(net, sinks=list(sinks))
+    sim = CompiledSimulator(net, sinks=list(sinks), tracer=tracer)
     try:
         for place, payload, at in item:
             sim.inject(place, payload, at=at)
         result = sim.run()
     except PetriError as exc:
         return ("error", type(exc).__name__, str(exc))
-    times = {
-        sink: [c.time for c in result.completions.get(sink, [])] for sink in sinks
-    }
-    flat = [t for ts in times.values() for t in ts]
+    times = {sink: [c.time for c in result.completions.get(sink, [])] for sink in sinks}
     return (
         "ok",
         (
-            max(flat) if flat else 0.0,
+            result.makespan(),
             result.end_time,
             {sink: len(ts) for sink, ts in times.items()},
             result.first_injection,
@@ -404,21 +408,28 @@ def _compiled_item_digest(build: BatchBuilder, item: BatchItem) -> tuple:
     )
 
 
-def compare_batch_engines(case: BatchDiffCase) -> tuple[str, list[tuple]]:
+def compare_batch_engines(
+    case: BatchDiffCase, *, tracing: bool = False
+) -> tuple[str, list[tuple]]:
     """Assert one :class:`BatchEvaluator` reproduces the compiled baseline
     on *case*, item for item.
 
     When the baseline errors on item *k*, the evaluator must evaluate
     items ``0..k-1`` cleanly and then raise the identical error (type and
-    message) on a matrix that includes item *k*.  Returns the evaluator's
-    ``engine`` (``"codegen"`` or ``"loop"``) and the per-item digests.
+    message) on a matrix that includes item *k*.  With ``tracing=True``
+    every run carries a :class:`~repro.obs.Tracer`, and the evaluator's
+    spans must equal the baseline runs' spans in item order.  Returns
+    the evaluator's ``engine`` (``"codegen"`` or ``"loop"``) and the
+    per-item digests.
     """
-    baseline = [_compiled_item_digest(case.build, item) for item in case.items]
+    item_tracers = [_new_tracer(tracing) for _ in case.items]
+    baseline = [_compiled_item_digest(case.build, *pair) for pair in zip(case.items, item_tracers)]
     first_error = next((i for i, d in enumerate(baseline) if d[0] == "error"), None)
     ok_until = first_error if first_error is not None else len(case.items)
     net, sinks = case.build()
     evaluator = BatchEvaluator(net, list(sinks))
-    results = evaluator.evaluate(case.items[:ok_until], collect=True)
+    tracer = _new_tracer(tracing)
+    results = evaluator.evaluate(case.items[:ok_until], collect=True, tracer=tracer)
     digests = [("ok", batch_summarize(r)) for r in results]
     for i, (want, got) in enumerate(zip(baseline[:ok_until], digests)):
         if want != got:
@@ -429,9 +440,10 @@ def compare_batch_engines(case: BatchDiffCase) -> tuple[str, list[tuple]]:
             )
     if first_error is not None:
         net, sinks = case.build()
+        tracer = _new_tracer(tracing)
         try:
             BatchEvaluator(net, list(sinks)).evaluate(
-                case.items[: first_error + 1], collect=True
+                case.items[: first_error + 1], collect=True, tracer=tracer
             )
         except PetriError as exc:
             got_err = ("error", type(exc).__name__, str(exc))
@@ -443,6 +455,12 @@ def compare_batch_engines(case: BatchDiffCase) -> tuple[str, list[tuple]]:
                 f"parity failed\n"
                 f"  compiled: {baseline[first_error]!r}\n"
                 f"  batched:  {got_err!r}"
+            )
+    if tracing:
+        want_spans = [s for t in item_tracers[: ok_until + 1] for s in t.spans()]
+        if tracer.spans() != want_spans:
+            raise EngineMismatch(
+                f"{case.name}: traced batch spans disagree with traced compiled runs"
             )
     return evaluator.engine, digests
 
@@ -649,12 +667,19 @@ def batch_cases() -> list[BatchDiffCase]:
 
 
 def run_batch_differential(
-    cases: Sequence[BatchDiffCase],
+    cases: Sequence[BatchDiffCase], *, tracing: bool = False
 ) -> dict[str, tuple[str, list[tuple]]]:
     """Run every batch case through its :class:`BatchEvaluator`; return
     ``{name: (engine, digests)}``.  Raises :class:`EngineMismatch` on
-    the first per-item disagreement."""
-    return {case.name: compare_batch_engines(case) for case in cases}
+    the first per-item disagreement.  ``tracing=True`` additionally runs
+    every case traced (see :func:`compare_batch_engines`); traced
+    digests must equal the untraced ones."""
+    results = {}
+    for case in cases:
+        results[case.name] = compare_batch_engines(case)
+        if tracing and compare_batch_engines(case, tracing=True) != results[case.name]:
+            raise EngineMismatch(f"{case.name}: tracing perturbed the batch result")
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -697,8 +722,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--tracing",
         action="store_true",
-        help="also run every case with a Tracer attached on both engines and "
-        "assert identical span lists and unperturbed results",
+        help="also run every case with a Tracer attached on every engine, the "
+        "batch evaluator included, and assert identical span lists and "
+        "unperturbed results",
     )
     args = parser.parse_args(argv)
 
@@ -714,13 +740,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
 
     bcases = batch_cases()
-    bresults = run_batch_differential(bcases)
+    bresults = run_batch_differential(bcases, tracing=args.tracing)
     n_items = sum(len(case.items) for case in bcases)
     n_codegen = sum(1 for engine, _ in bresults.values() if engine == "codegen")
     print(
         f"batched parity OK: {len(bcases)} matrices / {n_items} items vs the "
-        f"tracing-disabled compiled baseline "
-        f"({n_codegen} matrices on the codegen recurrence)"
+        f"compiled baseline ({n_codegen} matrices on the codegen recurrence{suffix})"
     )
     return 0
 

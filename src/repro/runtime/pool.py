@@ -139,12 +139,14 @@ class PooledDevice(Generic[RequestT, ResponseT]):
         engine cycles per decision."""
         if self.coarse_pricing:
             return self.busy_until(now) + self._coarse_service(request)
-        overhead = (
-            self.device.invocation_overhead(request)
-            if self.device.invocation_overhead is not None
-            else 0.0
+        return (
+            self.busy_until(now) + self.price_interface.latency(request) + self._overhead(request)
         )
-        return self.busy_until(now) + self.price_interface.latency(request) + overhead
+
+    def _overhead(self, request: RequestT) -> float:
+        """The device's offload overhead for ``request`` (0 without one)."""
+        overhead = self.device.invocation_overhead
+        return 0.0 if overhead is None else overhead(request)
 
     def _coarse_service(self, request: RequestT) -> float:
         """Cached service+overhead estimate keyed by RPC size class."""
@@ -153,12 +155,7 @@ class PooledDevice(Generic[RequestT, ResponseT]):
         label = rpc_size_class(request)
         cached = self._coarse_prices.get(label)
         if cached is None:
-            overhead = (
-                self.device.invocation_overhead(request)
-                if self.device.invocation_overhead is not None
-                else 0.0
-            )
-            cached = self.price_interface.latency(request) + overhead
+            cached = self.price_interface.latency(request) + self._overhead(request)
             self._coarse_prices[label] = cached
         return cached
 
@@ -174,12 +171,7 @@ class PooledDevice(Generic[RequestT, ResponseT]):
         """
         start = self.busy_until(now)
         latencies = self.price_interface.evaluate_batch(requests)
-        if self.device.invocation_overhead is not None:
-            return [
-                start + lat + self.device.invocation_overhead(request)
-                for lat, request in zip(latencies, requests)
-            ]
-        return [start + lat for lat in latencies]
+        return [start + lat + self._overhead(r) for lat, r in zip(latencies, requests)]
 
     def serve(self, request: RequestT, now: float) -> CallRecord[RequestT, ResponseT]:
         """Run the request through the device's full serving loop,

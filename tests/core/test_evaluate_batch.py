@@ -80,15 +80,84 @@ def test_interface_lowers_its_net_once_across_cache_misses(monkeypatch):
     assert len(lowered) == 1
 
 
-def test_tracer_falls_back_to_per_item():
+def _traced_compiled_runs(images):
+    """Values and spans of a traced ``CompiledSimulator`` run per item."""
     from repro.obs import Tracer
+    from repro.petri import CompiledSimulator
 
     iface = jpeg.petri_interface()
-    iface.tracer = Tracer()
-    traced = iface.evaluate_batch(IMAGES[:3])
-    assert iface.batch_evaluator is None
-    assert len(iface.tracer.spans()) > 0  # the trace shows the work
-    assert traced == jpeg.petri_interface().evaluate_batch(IMAGES[:3])
+    tracer = Tracer()
+    values = []
+    for img in images:
+        sim = CompiledSimulator(iface.net, [iface.sink], tracer=tracer)
+        for inj in iface.tokenize(img):
+            sim.inject(inj.place, inj.payload, at=inj.at)
+        values.append(sim.run().makespan() + iface.epilogue)
+    return values, tracer.spans()
+
+
+def test_traced_pricing_matches_traced_compiled_runs():
+    from repro.obs import Tracer
+
+    images = IMAGES[:3]
+    want_values, want_spans = _traced_compiled_runs(images)
+    assert want_spans
+
+    batch = jpeg.petri_interface()
+    batch.tracer = Tracer()
+    assert batch.evaluate_batch(images) == want_values
+    assert batch.tracer.spans() == want_spans
+
+    scalar = jpeg.petri_interface()
+    scalar.tracer = Tracer()
+    assert [scalar.latency(img) for img in images] == want_values
+    assert scalar.tracer.spans() == want_spans
+
+    # Traced items run on the batch engine's event loop, never codegen.
+    for iface in (batch, scalar):
+        ev = iface.batch_evaluator
+        assert ev.items_loop == len(images) and ev.items_codegen == 0
+
+
+def test_scalar_latency_spills_and_shares_batch_entries(tmp_path: Path):
+    path = tmp_path / "evals.jsonl"
+    iface = jpeg.petri_interface()
+    iface.cache = EvalCache(path)
+    scalar = [iface.latency(img) for img in IMAGES]
+    assert iface.cache.stats.misses == len(IMAGES)
+    assert iface.cache.stats.spills == len(IMAGES)
+
+    # The batch path finds the scalar calls' entries.
+    assert iface.evaluate_batch(IMAGES) == scalar
+    assert iface.cache.stats.hits == len(IMAGES)
+    assert iface.cache.stats.misses == len(IMAGES)
+
+    # A fresh process-level cache on the same file warms scalar callers.
+    warm = jpeg.petri_interface()
+    warm.cache = EvalCache(path)
+    assert [warm.latency(img) for img in IMAGES] == scalar
+    assert warm.cache.stats.misses == 0
+    assert warm.batch_evaluator is None  # never touched an engine
+
+
+def test_batch_item_short_of_completions_raises_and_caches_nothing(monkeypatch):
+    from repro.petri import BatchEvaluator, SimulationError
+
+    honest = BatchEvaluator.evaluate
+
+    def drop_one_completion(self, items, **kwargs):
+        results = honest(self, items, **kwargs)
+        results[1].counts["out"] -= 1
+        return results
+
+    iface = jpeg.petri_interface()
+    iface.cache = EvalCache()
+    iface.evaluate_batch(IMAGES[5:])
+    before = len(iface.cache)
+    monkeypatch.setattr(BatchEvaluator, "evaluate", drop_one_completion)
+    with pytest.raises(SimulationError, match=rf"{iface.net.name!r}: batch item 1 "):
+        iface.evaluate_batch(IMAGES[:3])
+    assert len(iface.cache) == before
 
 
 def test_cache_hits_skip_the_engine_entirely():

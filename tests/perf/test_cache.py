@@ -165,6 +165,57 @@ def test_uncacheable_features_always_compute():
     assert cache.stats.lookups == 0
 
 
+def test_get_many_answers_in_input_order():
+    cache = EvalCache()
+    cache.put("ns", 1, "one")
+    cache.put("ns", 3, "three")
+    out = cache.get_many("ns", [3, 2, 1, 4], lambda misses: [f"new{i}" for i in misses])
+    assert out == ["three", "new1", "one", "new3"]
+    assert (cache.stats.hits, cache.stats.misses) == (2, 2)
+
+
+def test_get_many_computes_the_misses_in_one_call():
+    cache = EvalCache()
+    cache.put("ns", "b", 2)
+    calls = []
+
+    def compute(misses):
+        calls.append(list(misses))
+        return [10 * i for i in misses]
+
+    assert cache.get_many("ns", ["a", "b", "c"], compute) == [0, 2, 20]
+    assert calls == [[0, 2]]
+    assert cache.get_many("ns", ["a", "b", "c"], compute) == [0, 2, 20]
+    assert calls == [[0, 2]]  # all hits: compute is not called
+    assert len(cache) == 3
+
+
+def test_get_many_rejects_a_short_compute():
+    cache = EvalCache()
+    with pytest.raises(ValueError, match="1 values for 2 misses"):
+        cache.get_many("ns", [1, 2], lambda misses: ["only one"])
+    assert len(cache) == 0
+
+
+def test_get_many_computes_but_never_stores_uncacheable_features():
+    class Opaque:
+        pass
+
+    cache = EvalCache()
+    calls = []
+
+    def compute(misses):
+        calls.append(list(misses))
+        return [f"v{i}" for i in misses]
+
+    for _ in range(2):
+        assert cache.get_many("ns", [Opaque(), 1], compute) == ["v0", "v1"]
+    assert calls == [[0, 1], [0]]
+    assert cache.stats.uncacheable == 2
+    assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+    assert len(cache) == 1
+
+
 def test_mutated_fingerprint_invalidates_entries():
     cache = EvalCache()
     net = parse(PNET)
