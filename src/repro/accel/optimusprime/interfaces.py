@@ -18,7 +18,7 @@ contract (symbolic bounds + monotonicity certificates).
 
 from __future__ import annotations
 
-from repro.accel.protoacc.message import Message
+from repro.accel.protoacc.message import FieldKind, Message, length_delimited_size
 from repro.core.nl import EnglishInterface, PerformanceStatement, Relation
 from repro.core.program import ProgramInterface
 
@@ -103,16 +103,25 @@ transition transform
 """
 
 
+def _fields_and_size(msg: Message) -> tuple[int, int]:
+    """``(msg.total_fields, msg.encoded_size())`` in one walk."""
+    fields, size = len(msg.fields), 0
+    for f in msg.fields:
+        if f.kind is FieldKind.MESSAGE:
+            n, body = _fields_and_size(f.value)  # type: ignore[arg-type]
+            fields += n
+            size += length_delimited_size(f.number, body)
+        else:
+            size += f.encoded_size()
+    return fields, size
+
+
 def tokenize_message(msg: Message):
     """One token per message: the parser array does not overlap them."""
     from repro.core.petrinet import Injection
 
-    return [
-        Injection(
-            place="in",
-            payload={"fields": msg.total_fields, "size": msg.encoded_size()},
-        )
-    ]
+    fields, size = _fields_and_size(msg)
+    return [Injection(place="in", payload={"fields": fields, "size": size})]
 
 
 def petri_interface(*, engine="auto", cache=None, tracer=None):

@@ -21,7 +21,7 @@ from repro.core.interface import LatencyBounds
 from repro.core.nl import EnglishInterface, PerformanceStatement, Relation
 from repro.core.program import ProgramInterface
 
-from .message import FieldKind, Message
+from .message import FieldKind, Message, length_delimited_size
 
 # ----------------------------------------------------------------------
 # Representation 1: English (paper Fig. 1, third entry)
@@ -161,45 +161,39 @@ transition write
 PNET_EPILOGUE = 16.0
 
 
-def _flatten(msg: Message) -> list[Message]:
-    """Messages in pointer-chase order: parent before its submessages."""
-    out = [msg]
-    for sub in msg.submessages():
-        out.extend(_flatten(sub))
-    return out
-
-
 def tokenize_message(msg: Message):
     """One token per (sub)message, in the order the read engine chases
     them.  ``beats`` is the submessage's own encoded contribution (its
     nested bodies are billed to their own tokens)."""
     from repro.core.petrinet import Injection
 
-    injections = []
-    for part in _flatten(msg):
-        own_encoded = part.encoded_size() - sum(
-            s.encoded_size() for s in part.submessages()
+    injections: list = []
+
+    def walk(part: Message) -> int:
+        # One pass: append part's token, then its submessages' (whose
+        # sizes its own size needs); return part.encoded_size().
+        slot = len(injections)
+        injections.append(None)
+        size = nested = 0
+        for f in part.fields:
+            if f.kind is FieldKind.MESSAGE:
+                body = walk(f.value)  # type: ignore[arg-type]
+                size += length_delimited_size(f.number, body)
+                nested += body
+            else:
+                size += f.encoded_size()
+        injections[slot] = Injection(
+            place="in",
+            payload={
+                "groups": ceil(part.num_fields / 32),
+                "blob": _blob_stream_cost(part),
+                "beats": max(1, -(-(size - nested) // 8)),
+            },
         )
-        injections.append(
-            Injection(
-                place="in",
-                payload={
-                    "groups": ceil(part.num_fields / 32),
-                    "blob": _blob_stream_cost_own(part),
-                    "beats": max(1, -(-own_encoded // 8)),
-                },
-            )
-        )
+        return size
+
+    walk(msg)
     return injections
-
-
-def _blob_stream_cost_own(msg: Message) -> float:
-    """Non-recursive form of :func:`_blob_stream_cost` (per-token)."""
-    return sum(
-        STREAM_SETUP + ceil(len(f.value) / 16)  # type: ignore[arg-type]
-        for f in msg.fields
-        if f.kind is FieldKind.BYTES
-    )
 
 
 def petri_interface(*, engine="auto", cache=None, tracer=None):

@@ -57,6 +57,20 @@ def encode_varint(value: int) -> bytes:
             return bytes(out)
 
 
+def varint_size(value: int) -> int:
+    """``len(encode_varint(value))``, computed without encoding."""
+    if value < 0:
+        value &= _MASK64
+    return (value.bit_length() + 6) // 7 or 1
+
+
+def length_delimited_size(number: int, length: int) -> int:
+    """Encoded size of a BYTES or MESSAGE field numbered ``number`` with a
+    ``length``-byte body: tag, length prefix and body.  (The wire type
+    fills the tag's low 3 bits, so it never lengthens the tag.)"""
+    return varint_size(number << 3) + varint_size(length) + length
+
+
 def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode a varint at ``offset``; returns (value, next_offset)."""
     result = 0
@@ -100,6 +114,19 @@ class Field:
     @property
     def tag(self) -> bytes:
         return encode_varint((self.number << 3) | _WIRE_TYPE[self.kind])
+
+    def encoded_size(self) -> int:
+        """Bytes this field adds to its message's encoding, tag included:
+        ``len`` of what :meth:`Message.encode` emits for it, by arithmetic."""
+        kind = self.kind
+        if kind is FieldKind.BYTES:
+            return length_delimited_size(self.number, len(self.value))  # type: ignore[arg-type]
+        if kind is FieldKind.MESSAGE:
+            return length_delimited_size(self.number, self.value.encoded_size())  # type: ignore
+        tag = varint_size(self.number << 3)  # the wire type never lengthens it
+        if kind is FieldKind.VARINT:
+            return tag + varint_size(self.value)  # type: ignore[arg-type]
+        return tag + (4 if kind is FieldKind.FIXED32 else 8)
 
 
 @dataclass(frozen=True)
@@ -177,7 +204,9 @@ class Message:
         return bytes(out)
 
     def encoded_size(self) -> int:
-        return len(self.encode())
+        """``len(self.encode())``, summed from tag, varint and length-prefix
+        sizes without building any bytes."""
+        return sum(f.encoded_size() for f in self.fields)
 
     @property
     def blob_bytes(self) -> int:

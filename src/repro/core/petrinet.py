@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generic, TypeVar
 
 from repro.hw.stats import exact_residual
+from repro.perf.fingerprint import UncacheableError, net_fingerprint
 from repro.petri import (
     BatchEvaluator,
     CompiledNet,
@@ -107,6 +108,13 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             per-firing spans into it (see :mod:`repro.petri.simulate`).
             Cache *hits* skip the simulation entirely and therefore
             emit no spans — the trace shows work actually done.
+
+    On ``engine="auto"`` the net is fixed at first pricing: its lowering
+    and fingerprint are snapshotted together then, and every later
+    price and cache key comes from that snapshot, so mutating
+    ``self.net`` afterwards changes neither.  Build a new interface to
+    price a changed net.  ``engine="reference"`` simulates the live net
+    and fingerprints it on every lookup.
     """
 
     representation = "petri-net"
@@ -135,17 +143,35 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         self.engine = engine
         self.cache = cache
         self.tracer = tracer
-        # The net's lowering (False = not yet tried, None = net
-        # unsupported) and batch evaluator, each built on first use, so
-        # a warm-cache process never lowers the net at all.
-        self._compiled: CompiledNet | None | bool = False
+        # The net as first priced: its lowering (None = net unsupported)
+        # and fingerprint (None = unfingerprintable), taken together so a
+        # cache key names the net its value was computed from.
+        self._pinned: tuple[CompiledNet | None, str | None] | None = None
         self.batch_evaluator: BatchEvaluator | None = None
+
+    def _pin(self) -> tuple[CompiledNet | None, str | None]:
+        if self._pinned is None:
+            compiled = CompiledNet(self.net) if supports(self.net) else None
+            try:
+                fingerprint: str | None = net_fingerprint(self.net)
+            except UncacheableError:
+                fingerprint = None
+            self._pinned = (compiled, fingerprint)
+        return self._pinned
 
     def _lowering(self) -> CompiledNet | None:
         """The net lowered once for every simulation this interface runs."""
-        if self._compiled is False:
-            self._compiled = CompiledNet(self.net) if supports(self.net) else None
-        return self._compiled  # type: ignore[return-value]
+        return self._pin()[0]
+
+    def _namespace(self) -> PetriNet | str:
+        """The net identity this interface's cache keys carry: the pinned
+        fingerprint when values come from the pinned lowering, else the
+        live net, which :meth:`EvalCache.key` fingerprints per lookup."""
+        if self.engine == "auto":
+            compiled, fingerprint = self._pin()
+            if compiled is not None and fingerprint is not None:
+                return fingerprint
+        return self.net
 
     def _tokens(self, item: ItemT) -> tuple[Sequence[Injection], int]:
         """``item``'s injections and how many completions they must make."""
@@ -208,7 +234,7 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         if self.cache is None:
             makespan, pairs = harvest()
         else:
-            makespan, pairs = self.cache.get_or_compute(self.net, features, harvest)
+            makespan, pairs = self.cache.get_or_compute(self._namespace(), features, harvest)
         per_transition = {str(n): float(c) for n, c in pairs}
         total = makespan + self.epilogue
         if stage_map is None:
@@ -284,7 +310,7 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
                 ("makespan", n, [(inj.place, inj.payload, inj.at) for inj in injs])
                 for injs, n in tokens
             ]
-            makespans = self.cache.get_many(self.net, features, compute)
+            makespans = self.cache.get_many(self._namespace(), features, compute)
         return [m + self.epilogue for m in makespans]
 
     def describe(self) -> str:

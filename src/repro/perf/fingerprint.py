@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+from collections.abc import Callable
 from dataclasses import fields, is_dataclass
 from typing import Any
 
@@ -35,18 +36,38 @@ class UncacheableError(TypeError):
     """A value has no stable content encoding; do not cache results for it."""
 
 
+def _encode_dict(value: dict) -> str:
+    items = sorted((encode(k), encode(v)) for k, v in value.items())
+    return "d(" + ",".join(f"{k}={v}" for k, v in items) + ")"
+
+
+#: Encoders for the common exact types, looked up by ``type(value)``.
+#: Each returns exactly what the general chain in :func:`encode` would,
+#: so keys match those written before this table existed; subclasses
+#: (``IntEnum``, a ``list`` subclass, ...) take the chain.
+_EXACT: dict[type, Callable[[Any], str]] = {
+    type(None): lambda value: "N",
+    bool: lambda value: "T" if value else "F",
+    int: lambda value: f"i{value}",
+    float: lambda value: f"f{value.hex()}",
+    str: lambda value: f"s{len(value)}:{value}",
+    bytes: lambda value: f"b{value.hex()}",
+    list: lambda value: "l(" + ",".join(map(encode, value)) + ")",
+    tuple: lambda value: "t(" + ",".join(map(encode, value)) + ")",
+    dict: _encode_dict,
+}
+
+
 def encode(value: Any) -> str:
     """Canonical text encoding of a workload-feature value.
 
     Deterministic across processes and sessions; raises
     :class:`UncacheableError` for values with unstable identity.
     """
-    if value is None:
-        return "N"
-    if value is True:
-        return "T"
-    if value is False:
-        return "F"
+    exact = _EXACT.get(type(value))
+    if exact is not None:
+        return exact(value)
+    # None and bool are covered by the table (bool cannot be subclassed).
     if isinstance(value, int):
         return f"i{value}"
     if isinstance(value, float):
@@ -63,8 +84,7 @@ def encode(value: Any) -> str:
     if isinstance(value, (set, frozenset)):
         return "S(" + ",".join(sorted(encode(v) for v in value)) + ")"
     if isinstance(value, dict):
-        items = sorted((encode(k), encode(v)) for k, v in value.items())
-        return "d(" + ",".join(f"{k}={v}" for k, v in items) + ")"
+        return _encode_dict(value)
     if is_dataclass(value) and not isinstance(value, type):
         body = ",".join(
             f"{f.name}={encode(getattr(value, f.name))}" for f in fields(value)

@@ -13,6 +13,7 @@ from repro.accel.protoacc import (
     decode_with_kinds,
     encode_varint,
 )
+from repro.accel.protoacc.message import varint_size
 
 
 class TestVarint:
@@ -149,3 +150,106 @@ class TestMetrics:
             (Field(1, FieldKind.VARINT, 1), Field(2, FieldKind.MESSAGE, inner))
         )
         assert outer.payload_bytes == 8 + 4
+
+
+# ----------------------------------------------------------------------
+# Sizes by arithmetic, and the single-pass tokenizers
+# ----------------------------------------------------------------------
+_numbers = st.one_of(
+    st.integers(1, 15), st.integers(16, 2047), st.integers(2048, 2**29 - 1)
+)
+_leaf_fields = st.one_of(
+    st.builds(Field, _numbers, st.just(FieldKind.VARINT), st.integers(-(2**63), 2**64 - 1)),
+    st.builds(Field, _numbers, st.just(FieldKind.FIXED32), st.integers(0, 2**32 - 1)),
+    st.builds(Field, _numbers, st.just(FieldKind.FIXED64), st.integers(0, 2**64 - 1)),
+    st.builds(
+        Field,
+        _numbers,
+        st.just(FieldKind.BYTES),
+        st.one_of(st.just(b""), st.binary(max_size=40), st.binary(min_size=128, max_size=300)),
+    ),
+)
+
+
+def _messages(depth: int):
+    fields = _leaf_fields
+    if depth:
+        nested = st.builds(Field, _numbers, st.just(FieldKind.MESSAGE), _messages(depth - 1))
+        fields = st.one_of(_leaf_fields, nested)
+    return st.lists(fields, max_size=5).map(lambda fs: Message(tuple(fs)))
+
+
+def _deep(depth: int) -> Message:
+    msg = Message((Field(2049, FieldKind.BYTES, b"z" * 200),))
+    for level in range(depth):
+        msg = Message((Field(16 + level, FieldKind.MESSAGE, msg), Field(1, FieldKind.VARINT, -5)))
+    return msg
+
+
+class TestEncodedSize:
+    @given(st.integers(-(2**64), 2**70))
+    @settings(max_examples=300, deadline=None)
+    def test_varint_size_is_encoded_length(self, value):
+        assert varint_size(value) == len(encode_varint(value))
+
+    @given(_messages(3))
+    @settings(max_examples=300, deadline=None)
+    def test_encoded_size_is_encoded_length(self, msg):
+        assert msg.encoded_size() == len(msg.encode())
+
+    def test_three_levels_deep_with_long_tags_and_prefixes(self):
+        msg = _deep(3)
+        assert msg.nesting_depth == 3
+        assert msg.encoded_size() == len(msg.encode())
+
+
+def _protoacc_tokens_by_definition(msg: Message) -> list:
+    """Protoacc's tokenizer as first defined: flatten in chase order, and
+    bill each part its encoding minus its submessages' encodings."""
+    from math import ceil
+
+    from repro.accel.protoacc.interfaces import STREAM_SETUP
+    from repro.core.petrinet import Injection
+
+    def flatten(m):
+        out = [m]
+        for sub in m.submessages():
+            out.extend(flatten(sub))
+        return out
+
+    tokens = []
+    for part in flatten(msg):
+        own = len(part.encode()) - sum(len(s.encode()) for s in part.submessages())
+        blob = sum(
+            STREAM_SETUP + ceil(len(f.value) / 16) for f in part.fields if f.kind is FieldKind.BYTES
+        )
+        beats = max(1, -(-own // 8))
+        payload = {"groups": ceil(part.num_fields / 32), "blob": blob, "beats": beats}
+        tokens.append(Injection(place="in", payload=payload))
+    return tokens
+
+
+def _optimus_tokens_by_definition(msg: Message) -> list:
+    from repro.core.petrinet import Injection
+
+    return [Injection(place="in", payload={"fields": msg.total_fields, "size": len(msg.encode())})]
+
+
+def _tokenizer_corpus() -> list[Message]:
+    from repro.accel.protoacc.formats import instances
+    from repro.workloads import ALL_MIXES
+
+    msgs = list(instances().values()) + [_deep(3)]
+    for i, mix in enumerate(ALL_MIXES):
+        msgs += mix.sample(seed=11 + i, count=60)
+    return msgs
+
+
+def test_tokenizers_match_their_definitions():
+    from repro.accel.optimusprime.interfaces import tokenize_message as optimus_tokens
+    from repro.accel.protoacc.interfaces import tokenize_message as protoacc_tokens
+
+    for msg in _tokenizer_corpus():
+        # repr, not ==: an int 0 and a float 0.0 key differently.
+        assert repr(protoacc_tokens(msg)) == repr(_protoacc_tokens_by_definition(msg))
+        assert repr(optimus_tokens(msg)) == repr(_optimus_tokens_by_definition(msg))

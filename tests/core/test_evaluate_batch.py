@@ -80,6 +80,39 @@ def test_interface_lowers_its_net_once_across_cache_misses(monkeypatch):
     assert len(lowered) == 1
 
 
+def test_mutated_interface_net_never_poisons_shared_cache():
+    """A value is stored under the identity of the net it came from: a
+    net mutated after first pricing never files a stale value under the
+    mutated net's fingerprint for another interface to be served."""
+    from repro.accel.optimusprime import petri_interface
+    from repro.accel.optimusprime.interfaces import tokenize_message
+    from repro.core.petrinet import PetriNetInterface
+    from repro.workloads import ENTERPRISE_MIX
+
+    a, b = ENTERPRISE_MIX.sample(seed=5, count=2)
+    untouched = petri_interface().latency(b)
+    assert untouched != 999.0
+    for engine in ("auto", "reference"):
+        cache = EvalCache()
+        iface = petri_interface(cache=cache, engine=engine)
+        iface.latency(a)
+        transform = iface.net.transitions["transform"]
+        transform.servers = 7
+        transform.delay = 999.0
+        # "auto" prices the net as first priced; "reference" the live net.
+        stale = iface.latency(b)
+        assert stale == (untouched if engine == "auto" else 999.0)
+
+        fresh = PetriNetInterface(
+            "optimus-prime",
+            net_factory=lambda net=iface.net: net,
+            tokenize=tokenize_message,
+            engine=engine,
+            cache=cache,
+        )
+        assert fresh.latency(b) == 999.0, engine
+
+
 def _traced_compiled_runs(images):
     """Values and spans of a traced ``CompiledSimulator`` run per item."""
     from repro.obs import Tracer

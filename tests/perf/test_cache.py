@@ -1,12 +1,18 @@
 """Cache layer: hit/miss accounting, key stability, invalidation."""
 
+import enum
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.perf import EvalCache, UncacheableError, net_fingerprint, workload_key
+from repro.perf.fingerprint import encode
 from repro.petri import PetriNet, parse
 
 PNET = """\
@@ -248,3 +254,173 @@ def test_stats_summary_format():
     cache.get_or_compute("ns", 1, lambda: "v")
     cache.get_or_compute("ns", 1, lambda: "v")
     assert cache.stats.summary() == "cache: 1/2 hits (50%)"
+
+
+# ----------------------------------------------------------------------
+# Key stability: keys written by earlier versions must still hit
+# ----------------------------------------------------------------------
+def _frozen_encode(value):
+    """The feature encoder as the persistent JSONL files were written
+    with: an ``isinstance`` chain.  Kept verbatim as the oracle that
+    :func:`repro.perf.fingerprint.encode` must match byte for byte."""
+    import enum
+    from dataclasses import fields, is_dataclass
+
+    if value is None:
+        return "N"
+    if value is True:
+        return "T"
+    if value is False:
+        return "F"
+    if isinstance(value, int):
+        return f"i{value}"
+    if isinstance(value, float):
+        return f"f{value.hex()}"
+    if isinstance(value, str):
+        return f"s{len(value)}:{value}"
+    if isinstance(value, bytes):
+        return f"b{value.hex()}"
+    if isinstance(value, enum.Enum):
+        return f"e{type(value).__qualname__}.{value.name}"
+    if isinstance(value, (list, tuple)):
+        tag = "l" if isinstance(value, list) else "t"
+        return tag + "(" + ",".join(_frozen_encode(v) for v in value) + ")"
+    if isinstance(value, (set, frozenset)):
+        return "S(" + ",".join(sorted(_frozen_encode(v) for v in value)) + ")"
+    if isinstance(value, dict):
+        items = sorted((_frozen_encode(k), _frozen_encode(v)) for k, v in value.items())
+        return "d(" + ",".join(f"{k}={v}" for k, v in items) + ")"
+    if is_dataclass(value) and not isinstance(value, type):
+        body = ",".join(
+            f"{f.name}={_frozen_encode(getattr(value, f.name))}" for f in fields(value)
+        )
+        return f"D{type(value).__qualname__}({body})"
+    if hasattr(value, "tobytes") and hasattr(value, "dtype"):
+        shape = getattr(value, "shape", ())
+        return f"a{value.dtype}{shape}:{value.tobytes().hex()}"
+    raise UncacheableError(type(value).__qualname__)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Color(enum.Enum):
+    RED = "red"
+    BLUE = 1.0
+
+
+@dataclass(frozen=True)
+class _Pair:
+    left: object
+    right: object
+
+
+class _Items(list):
+    """A ``list`` subclass: must take the general path, tagged ``l``."""
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([True, 1, 1.0, 0, 0.0, -0.0, float("nan"), False]),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.sampled_from(list(_Level) + list(_Color)),
+)
+_hashable = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.tuples(inner, inner),
+        st.frozensets(inner, max_size=3),
+        st.builds(_Pair, inner, inner),
+    ),
+    max_leaves=8,
+)
+_features = st.recursive(
+    _hashable,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.lists(inner, max_size=3).map(_Items),
+        st.dictionaries(_hashable, inner, max_size=3),
+        st.sets(_hashable, max_size=3),
+        st.builds(_Pair, inner, inner),
+    ),
+    max_leaves=16,
+)
+
+
+@given(_features)
+@settings(max_examples=400, deadline=None)
+def test_encode_matches_the_frozen_encoder(value):
+    assert encode(value) == _frozen_encode(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, 1, 1.0, -0.0, float("nan"), _Level.LOW, _Color.BLUE, b"\x00\xff", _Items([1]),
+     [(1, True), {"k": (1.0, None)}, {frozenset({1, 2})}], np.arange(3, dtype=np.int32)],
+)
+def test_encode_matches_the_frozen_encoder_on_edge_values(value):
+    assert encode(value) == _frozen_encode(value)
+
+
+def test_golden_keys_are_unchanged():
+    """Hex keys computed before the per-interface fingerprint and the
+    exact-type encoder existed; persistent caches written then must hit."""
+    from repro.accel.protoacc import Field, FieldKind, Message
+    from repro.accel.protoacc.interfaces import PROTOACC_PNET, petri_interface
+
+    cache = EvalCache()
+    assert (
+        cache.key(parse(PNET), {"items": 10, "gap": 0.5})
+        == "34ac8639e1183f79ccf160b97c4e68f237521acf909e0d2229b6e948af20b527"
+    )
+    protoacc_key = "2683157ae143c8d13b0bb73d4f4a70c42a2facbe9e94979cd13b4f0bc7509004"
+    tokens = [
+        ("in", {"groups": 1, "blob": 0, "beats": 3}, 0.0),
+        ("in", {"groups": 1, "blob": 47.0, "beats": 17}, 0.0),
+    ]
+    assert cache.key(parse(PROTOACC_PNET), ("makespan", 2, tokens)) == protoacc_key
+
+    # The interface files the same message under exactly that key.
+    inner = Message((Field(1, FieldKind.VARINT, 300), Field(2, FieldKind.BYTES, b"x" * 130)))
+    msg = Message(
+        (
+            Field(1, FieldKind.VARINT, -1),
+            Field(20, FieldKind.MESSAGE, inner),
+            Field(3, FieldKind.FIXED32, 7),
+        )
+    )
+    iface = petri_interface(cache=cache)
+    iface.latency(msg)
+    assert protoacc_key in cache and len(cache) == 1
+
+
+def test_interface_fingerprints_its_net_once(monkeypatch):
+    import repro.core.petrinet as core_petrinet
+    import repro.perf.cache as perf_cache
+    from repro.accel.protoacc import petri_interface
+    from repro.workloads import ENTERPRISE_MIX
+
+    calls = []
+
+    def counting(net):
+        calls.append(net.name)
+        return net_fingerprint(net)
+
+    monkeypatch.setattr(core_petrinet, "net_fingerprint", counting)
+    monkeypatch.setattr(perf_cache, "net_fingerprint", counting)
+    iface = petri_interface(cache=EvalCache())
+    msgs = ENTERPRISE_MIX.sample(seed=9, count=10)
+    for msg in msgs[:5]:
+        iface.latency(msg)
+        iface.predict_decomposition(msg)
+    iface.evaluate_batch(msgs)
+    iface.evaluate_batch(msgs)
+    assert iface.cache.stats.lookups == 5 + 5 + 10 + 10
+    assert calls == ["protoacc_ser"]
