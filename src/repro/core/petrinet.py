@@ -25,7 +25,6 @@ from repro.petri import (
     SimResult,
     SimulationError,
     make_simulator,
-    supports,
 )
 
 from .interface import PerformanceInterface
@@ -97,9 +96,9 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             produce.  Defaults to the number of injected tokens; nets
             with resident bookkeeping tokens (mutexes, credits) override
             this, since those legitimately remain after quiescence.
-        engine: Simulation engine — ``"auto"`` (the batch engine when
-            the net is in the compiled subset, the reference interpreter
-            otherwise) or ``"reference"``.
+        engine: Simulation engine — ``"auto"`` (the batch engine over
+            the compiled lowering) or ``"reference"`` (the interpreter,
+            one simulation per item; the test oracle).
         cache: Optional :class:`repro.perf.EvalCache`: identical
             (net, injections) evaluations are served from the cache
             instead of re-simulated.  May also be attached later by
@@ -143,15 +142,15 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         self.engine = engine
         self.cache = cache
         self.tracer = tracer
-        # The net as first priced: its lowering (None = net unsupported)
-        # and fingerprint (None = unfingerprintable), taken together so a
-        # cache key names the net its value was computed from.
-        self._pinned: tuple[CompiledNet | None, str | None] | None = None
+        # The net as first priced: its lowering and fingerprint (None =
+        # unfingerprintable), taken together so a cache key names the net
+        # its value was computed from.
+        self._pinned: tuple[CompiledNet, str | None] | None = None
         self.batch_evaluator: BatchEvaluator | None = None
 
-    def _pin(self) -> tuple[CompiledNet | None, str | None]:
+    def _pin(self) -> tuple[CompiledNet, str | None]:
         if self._pinned is None:
-            compiled = CompiledNet(self.net) if supports(self.net) else None
+            compiled = CompiledNet(self.net)
             try:
                 fingerprint: str | None = net_fingerprint(self.net)
             except UncacheableError:
@@ -159,7 +158,7 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             self._pinned = (compiled, fingerprint)
         return self._pinned
 
-    def _lowering(self) -> CompiledNet | None:
+    def _lowering(self) -> CompiledNet:
         """The net lowered once for every simulation this interface runs."""
         return self._pin()[0]
 
@@ -167,10 +166,8 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         """The net identity this interface's cache keys carry: the pinned
         fingerprint when values come from the pinned lowering, else the
         live net, which :meth:`EvalCache.key` fingerprints per lookup."""
-        if self.engine == "auto":
-            compiled, fingerprint = self._pin()
-            if compiled is not None and fingerprint is not None:
-                return fingerprint
+        if self.engine == "auto" and (fingerprint := self._pin()[1]) is not None:
+            return fingerprint
         return self.net
 
     def _tokens(self, item: ItemT) -> tuple[Sequence[Injection], int]:
@@ -259,9 +256,11 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
     # ------------------------------------------------------------------
     # Pricing
     # ------------------------------------------------------------------
-    def _batch_engine(self) -> BatchEvaluator | None:
-        if self.batch_evaluator is None and (compiled := self._lowering()) is not None:
-            self.batch_evaluator = BatchEvaluator(self.net, (self.sink,), compiled=compiled)
+    def _batch_engine(self) -> BatchEvaluator:
+        if self.batch_evaluator is None:
+            self.batch_evaluator = BatchEvaluator(
+                self.net, (self.sink,), compiled=self._lowering()
+            )
         return self.batch_evaluator
 
     def latency(self, item: ItemT) -> float:
@@ -281,16 +280,16 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         expected, injections)``, so every entry spills to a persistent
         tier.  On ``engine="auto"`` the misses run on the shared
         :class:`BatchEvaluator`, traced if a tracer is attached; on
-        ``engine="reference"`` or a net outside the compiled subset each
-        miss runs :meth:`_simulate`.
+        ``engine="reference"`` each miss runs :meth:`_simulate`.
         """
         tokens = [self._tokens(item) for item in items]
 
         def compute(misses: list[int]) -> list[float]:
-            evaluator = self._batch_engine() if self.engine == "auto" else None
-            if evaluator is None:
+            if self.engine != "auto":
                 return [self._simulate(*tokens[i], self.tracer).makespan() for i in misses]
-            results = evaluator.evaluate([tokens[i][0] for i in misses], tracer=self.tracer)
+            results = self._batch_engine().evaluate(
+                [tokens[i][0] for i in misses], tracer=self.tracer
+            )
             for i, res in zip(misses, results):
                 done, expected = res.counts.get(self.sink, 0), tokens[i][1]
                 if done != expected:

@@ -9,6 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def quantile(values, q: float) -> float:
+    """The repo-standard sample quantile: linear interpolation between
+    order statistics (numpy's default percentile rule)."""
+    return float(np.percentile(np.asarray(values, dtype=float), q * 100.0))
+
+
 @dataclass(frozen=True)
 class Summary:
     """Five-number-ish summary of a sample."""
@@ -31,9 +37,9 @@ class Summary:
             mean=float(arr.mean()),
             minimum=float(arr.min()),
             maximum=float(arr.max()),
-            p50=float(np.percentile(arr, 50)),
-            p95=float(np.percentile(arr, 95)),
-            p99=float(np.percentile(arr, 99)),
+            p50=quantile(arr, 0.50),
+            p95=quantile(arr, 0.95),
+            p99=quantile(arr, 0.99),
         )
 
     @classmethod
@@ -208,7 +214,7 @@ class ErrorReport:
         errs = relative_errors(predicted, actual)
         finite = errs[np.isfinite(errs)]
         quantiles = (
-            tuple(float(np.percentile(finite, q)) for q in (50, 95, 99))
+            tuple(quantile(finite, q) for q in (0.50, 0.95, 0.99))
             if finite.size
             else (None, None, None)
         )

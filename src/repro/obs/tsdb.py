@@ -9,8 +9,8 @@ memory, oldest points retired first), multi-resolution downsampling
 (count/sum/min/max per bucket at each configured resolution, so a long
 run keeps coarse history after the raw ring wraps), a bounded event
 log for instants (scale events, brownout transitions, heal
-transitions), and the two queries operators actually run: rate over a
-window and a quantile over time.
+transitions), and the query operators actually run: rate over a
+window.
 
 Timestamps are virtual cycles, same as every clock in the repo, so a
 stored run is deterministic: same seeds, same workload ⇒ identical
@@ -282,23 +282,6 @@ class TimeSeriesStore:
         if t1 <= t0:
             return None
         return (v1 - v0) / (t1 - t0)
-
-    def quantile_over_time(
-        self, name: str, q: float, *, window: float | None = None
-    ) -> float | None:
-        """The ``q``-quantile of the retained raw values (gauge-shaped
-        series), nearest-rank, optionally over the trailing window."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile out of range: {q}")
-        points = self.points(name)
-        if window is not None and points:
-            horizon = points[-1][0] - window
-            points = [p for p in points if p[0] >= horizon]
-        if not points:
-            return None
-        values = sorted(v for _, v in points)
-        index = min(len(values) - 1, max(0, round(q * (len(values) - 1))))
-        return values[index]
 
     def downsampled(
         self, name: str, resolution: float

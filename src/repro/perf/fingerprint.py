@@ -154,7 +154,6 @@ def _transition_lines(t: Transition) -> list[str]:
         else f"const:{float(t.delay).hex()}"
     )
     guard = "none" if t.guard is None else callable_fingerprint(t.guard)
-    produce = "none" if t.produce is None else callable_fingerprint(t.produce)
     timeout = (
         "none" if t.timeout is None else f"{float(t.timeout[0]).hex()}->{t.timeout[1]}"
     )
@@ -164,7 +163,9 @@ def _transition_lines(t: Transition) -> list[str]:
         "  out " + " ".join(f"{a.place}:{a.weight}" for a in t.outputs),
         f"  delay {delay}",
         f"  guard {guard}",
-        f"  produce {produce}",
+        # Transitions once took a custom produce hook; the line stays so
+        # keys in persistent JSONL files written back then still hit.
+        "  produce none",
         f"  servers {t.servers}",
         f"  priority {t.priority}",
         f"  timeout {timeout}",

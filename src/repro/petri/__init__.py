@@ -8,14 +8,14 @@ without computing any of its functional outputs.
 
 Typical use::
 
-    from repro.petri import PetriNet, Simulator
+    from repro.petri import PetriNet, make_simulator
 
     net = PetriNet("adder")
     net.add_place("in")
     net.add_place("out")
     net.add_transition("alu", ["in"], ["out"], delay=3)
 
-    sim = Simulator(net, sinks=["out"])
+    sim = make_simulator(net, sinks=["out"])  # the compiled engine
     sim.inject_stream("in", range(100))
     result = sim.run()
     result.latencies()    # -> per-item end-to-end cycles
@@ -50,8 +50,6 @@ from .compiled import (
     CompiledNet,
     CompiledSimulator,
     make_simulator,
-    supports,
-    unsupported_features,
 )
 from .dot import to_dot
 from .dsl import parse, to_pnet
@@ -110,9 +108,7 @@ __all__ = [
     "p_invariants",
     "parse",
     "run_workload",
-    "supports",
     "t_invariants",
     "to_dot",
     "to_pnet",
-    "unsupported_features",
 ]

@@ -49,7 +49,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from .compiled import CompiledNet, CompiledSimulator, run_compiled, unsupported_features
+from .compiled import CompiledNet, CompiledSimulator, run_compiled
 from .dsl import _SAFE_GLOBALS
 from .errors import DefinitionError, SimulationError
 from .net import PetriNet
@@ -363,7 +363,6 @@ class _CodegenRunner:
             tok.payload = None
             tok.born = None
             tok.uid = next(_token_ids)
-            tok.trace = None
             namespace[f"delay{s}"] = fn
             namespace[f"tok{s}"] = tok
             namespace[f"consumed{s}"] = {spec.in_names[s]: [tok]}
@@ -424,11 +423,6 @@ class BatchEvaluator:
         *,
         compiled: CompiledNet | None = None,
     ):
-        reasons = unsupported_features(net)
-        if reasons:
-            raise SimulationError(
-                f"net {net.name!r} cannot be batch-evaluated: " + "; ".join(reasons)
-            )
         if compiled is not None and compiled.net is not net:
             raise SimulationError("compiled form belongs to a different net object")
         self.net = net

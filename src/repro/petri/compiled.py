@@ -33,13 +33,11 @@ order, same budget accounting, same error messages, same ``SimResult`` —
 and :mod:`repro.petri.differential` asserts this on every shipped
 accelerator net and on randomized structural nets.
 
-Fallback rules (see ``docs/performance.md``): the fast path refuses nets
-that use features it does not specialize — currently custom ``produce``
-hooks (arbitrary token fabrication) and per-token ``trace`` recording —
-and :func:`make_simulator` transparently falls back to the reference
-engine for them.  Everything else (weighted arcs, capacities, guards,
-callable delays, multi-server transitions, priorities, timeout fault
-arcs) runs on the fast path.
+Every net runs on this engine: weighted arcs, capacities, guards,
+callable delays, multi-server transitions, priorities and timeout fault
+arcs are all lowered.  :func:`make_simulator` picks the reference
+interpreter only when a caller asks for ``engine="reference"`` (see
+``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -65,30 +63,6 @@ ENGINES: tuple[str, ...] = ("auto", "reference")
 # engine-generated events at the same instant, so the run loop merges
 # them from a sorted side list.)
 _COMPLETE, _FAIL = 1, 2
-
-
-def unsupported_features(net: PetriNet, *, trace: bool = False) -> list[str]:
-    """Why the fast path cannot run ``net`` (empty list = it can).
-
-    The reasons are part of the documented contract: authors reading a
-    fallback log line should be able to tell which net feature to drop
-    to get back on the fast path.
-    """
-    reasons: list[str] = []
-    if trace:
-        reasons.append("trace=True records per-token paths (reference engine only)")
-    for t in net.ordered_transitions():
-        if t.produce is not None:
-            reasons.append(
-                f"transition {t.name!r} has a custom produce hook "
-                "(arbitrary token fabrication is not specialized)"
-            )
-    return reasons
-
-
-def supports(net: PetriNet, *, trace: bool = False) -> bool:
-    """True when the compiled engine can run ``net`` exactly."""
-    return not unsupported_features(net, trace=trace)
 
 
 class CompiledNet:
@@ -133,11 +107,6 @@ class CompiledNet:
     )
 
     def __init__(self, net: PetriNet):
-        reasons = unsupported_features(net)
-        if reasons:
-            raise SimulationError(
-                f"net {net.name!r} cannot be compiled: " + "; ".join(reasons)
-            )
         self.net = net
         self.place_names: list[str] = list(net.places)
         self.place_index = {name: i for i, name in enumerate(self.place_names)}
@@ -666,7 +635,7 @@ def run_compiled(
                     )
             if kind == _COMPLETE:
                 # Single output arc: the first child of the consumed
-                # token has the same payload/born/trace, so reuse
+                # token has the same payload/born, so reuse
                 # the (otherwise dead) token object instead of
                 # fabricating a child per hop; extra weight copies
                 # are fabricated inline.
@@ -692,13 +661,12 @@ def run_compiled(
                         comps.append((now, tok))
                     else:
                         tokens[p].append(tok)
-                    payload, born, trace = tok.payload, tok.born, tok.trace
+                    payload, born = tok.payload, tok.born
                     for _ in range(w - 1):
                         child = new_token(Token)
                         child.payload = payload
                         child.born = born
                         child.uid = next_uid()
-                        child.trace = None if trace is None else list(trace)
                         if comps is not None:
                             comps.append((now, child))
                         else:
@@ -744,9 +712,8 @@ def run_compiled(
 class CompiledSimulator:
     """Drop-in replacement for :class:`Simulator` on compiled nets.
 
-    Same constructor shape (minus ``trace``, which the fast path does
-    not support), same ``inject``/``inject_stream``/``run`` API, and —
-    by differential test — the same results.  Pass a pre-built
+    Same constructor shape, same ``inject``/``inject_stream``/``run``
+    API, and — by differential test — the same results.  Pass a pre-built
     :class:`CompiledNet` to share one lowering across many simulators.
 
     ``tracer`` (see :class:`repro.obs.Tracer`) emits the same firing
@@ -810,7 +777,6 @@ class CompiledSimulator:
                 token.payload = payload
                 token.born = None
                 token.uid = next_uid()
-                token.trace = None
             pending((t, place, token))
             tokens.append(token)
             t += gap
@@ -901,21 +867,20 @@ def make_simulator(
     net: PetriNet,
     sinks: Sequence[str] = ("out",),
     *,
-    trace: bool = False,
     engine: str = "auto",
     compiled: CompiledNet | None = None,
     tracer=None,
 ) -> Simulator | CompiledSimulator:
-    """Build the right engine for ``net``.
+    """Build the engine ``engine`` names for ``net``.
 
-    ``engine`` is ``"auto"`` (compiled when supported, reference
-    otherwise) or ``"reference"``.  ``compiled`` shares a pre-built
-    :class:`CompiledNet` across simulators in a sweep (a lowering is
-    proof the net is supported).  ``tracer`` (:class:`repro.obs.Tracer`)
+    ``engine`` is ``"auto"`` (the compiled engine, for every net) or
+    ``"reference"`` (the interpreter the compiled engine is tested
+    against).  ``compiled`` shares a pre-built :class:`CompiledNet`
+    across simulators in a sweep.  ``tracer`` (:class:`repro.obs.Tracer`)
     records per-firing spans on either engine without affecting results.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
-    if engine == "auto" and not trace and (compiled is not None or supports(net)):
+    if engine == "auto":
         return CompiledSimulator(net, sinks, compiled=compiled, tracer=tracer)
-    return Simulator(net, sinks, trace=trace, tracer=tracer)
+    return Simulator(net, sinks, tracer=tracer)

@@ -40,11 +40,6 @@ DelaySpec = float | int | Callable[[Mapping[str, Sequence[Token]]], float]
 #: Type of a guard: predicate over the tokens that would be consumed.
 GuardFn = Callable[[Mapping[str, Sequence[Token]]], bool]
 
-#: Type of a production function: maps consumed tokens to tokens to
-#: deposit, keyed by output-place name.  When omitted, the default
-#: production forwards children of the first consumed token.
-ProduceFn = Callable[[Mapping[str, Sequence[Token]]], Mapping[str, Sequence[Token]]]
-
 
 @dataclass
 class Place:
@@ -124,15 +119,14 @@ class Transition:
         inputs: Input arcs.  The transition is enabled when every input
             place holds at least ``weight`` tokens.
         outputs: Output arcs.  Firing reserves ``weight`` slots in every
-            output place up front (backpressure), then deposits tokens
-            on completion.
+            output place up front (backpressure), then deposits
+            ``weight`` children of the first consumed token into each on
+            completion, preserving birth timestamps for latency
+            measurement.
         delay: Constant service delay, or a function of the consumed
             tokens (keyed by input-place name) returning the delay.
         guard: Optional predicate over the would-be-consumed tokens;
             the transition is enabled only when it returns ``True``.
-        produce: Optional production function; by default, every output
-            place receives ``weight`` children of the first consumed
-            token, preserving birth timestamps for latency measurement.
         servers: Maximum concurrent firings (``None`` = unbounded).
         priority: Tie-break order when several transitions are enabled
             at the same instant; lower fires first, then name order.
@@ -152,7 +146,6 @@ class Transition:
         outputs: Sequence[Arc],
         delay: DelaySpec = 0.0,
         guard: GuardFn | None = None,
-        produce: ProduceFn | None = None,
         servers: int | None = 1,
         priority: int = 0,
         timeout: tuple[float, str] | None = None,
@@ -171,7 +164,6 @@ class Transition:
         self.outputs = list(outputs)
         self.delay = delay
         self.guard = guard
-        self.produce = produce
         self.servers = servers
         self.priority = priority
         self.timeout = timeout

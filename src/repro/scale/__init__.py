@@ -25,6 +25,8 @@ controller hooks (:mod:`.controller`).  ``docs/robustness.md`` has the
 operator chapter, including the rung table.
 """
 
+from repro.hw.stats import quantile
+
 from .autoscaler import Autoscaler, DeviceTemplate, ScaleEvent, ScalePolicy
 from .brownout import BrownoutPolicy, DegradationLadder, Rung, RungTransition
 from .controller import ScaleController
@@ -35,7 +37,7 @@ from .scenario import (
     priority_assigner,
     run_scale_scenario,
 )
-from .slo import SLO, SloMonitor, SloStatus, quantile
+from .slo import SLO, SloMonitor, SloStatus
 from .templates import standard_templates
 
 __all__ = [

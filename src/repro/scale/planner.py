@@ -26,8 +26,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import product
 
+from repro.hw.stats import quantile
+
 from .autoscaler import DeviceTemplate
-from .slo import SLO, quantile
+from .slo import SLO
 
 #: Per-device utilization above which the M/G/1 wait estimate is too
 #: fragile to promise an SLO on (and loss-free serving is implausible).

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
+from repro.hw.stats import quantile
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,6 @@ class SloStatus:
         if self.latency is None:
             return 0.0
         return self.latency / slo.latency_budget
-
-
-def quantile(values, q: float) -> float:
-    """The repo-standard sample quantile (matches ``Summary``'s
-    percentiles: linear interpolation)."""
-    return float(np.percentile(np.asarray(values, dtype=float), q * 100.0))
 
 
 class SloMonitor:

@@ -17,9 +17,10 @@ then need tooling to inspect and run what they received.  Subcommands:
 * ``dot FILE`` — emit Graphviz DOT for rendering.
 * ``simulate FILE --items N [--payload JSON] [--gap G] [--engine E]``
   (alias: ``run``) — inject a workload and report latency/throughput
-  statistics; ``--engine`` picks automatic selection (the compiled
-  fast path when the net supports it), the reference interpreter, or
-  ``batched`` (one batch pass — see ``docs/performance.md``).  ``--batch FILE.jsonl``
+  statistics; ``--engine`` picks the compiled engine (``auto``, the
+  default), the reference interpreter it is tested against
+  (``reference``), or ``batched`` (one batch pass — see
+  ``docs/performance.md``).  ``--batch FILE.jsonl``
   evaluates one workload item per line (each line a JSON features
   dict used as that item's token payload) in a single batch pass.
 
@@ -47,7 +48,6 @@ from repro.petri import (
     ENGINES,
     BatchEvaluator,
     DslError,
-    SimulationError,
     analyze_structure,
     find_cycles,
     make_simulator,
@@ -176,9 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     worst = 0
     results = []
     for name, bundle in _verify_jobs(args.target):
-        report, verification = verify_bundle(
-            bundle, epsilon=args.epsilon, engine=args.engine
-        )
+        report, verification = verify_bundle(bundle, epsilon=args.epsilon)
         worst = max(worst, report.exit_code)
         if args.json:
             results.append(
@@ -249,11 +247,7 @@ def cmd_batched(args: argparse.Namespace, net, payloads: list) -> int:
         [(args.entry, payload, k * args.gap) for k in range(args.items)]
         for payload in payloads
     ]
-    try:
-        evaluator = BatchEvaluator(net, (args.sink,))
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    evaluator = BatchEvaluator(net, (args.sink,))
     start = time.perf_counter()
     try:
         results = evaluator.evaluate(items)
@@ -373,12 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative tolerance for corner-point concretization "
         "(default: the contract's own epsilon, else 0.02)",
     )
-    p_verify.add_argument(
-        "--engine",
-        default="auto",
-        choices=list(ENGINES),
-        help="simulation engine for corner concretization",
-    )
     p_verify.set_defaults(fn=cmd_verify)
 
     # "run" is an alias for "simulate" (matches the docs' `pnet run`).
@@ -396,11 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine",
             default="auto",
             choices=[*ENGINES, "batched"],
-            help="simulation engine: auto (default) compiles when the net "
-            "is supported, else falls back to the reference interpreter; "
-            "reference always interprets; batched evaluates the workload "
-            "in one batch pass (the codegen recurrence for chain nets, the "
-            "compiled event loop otherwise)",
+            help="simulation engine: auto (default) runs the compiled "
+            "engine; reference runs the reference interpreter (the oracle "
+            "the compiled engine is tested against); batched evaluates the "
+            "workload in one batch pass (the codegen recurrence for chain "
+            "nets, the compiled event loop otherwise)",
         )
         p_sim.add_argument(
             "--batch",

@@ -69,14 +69,6 @@ class TestTimeoutSemantics:
         assert len(result.completions["fault"]) == 1
         assert net.marking()["out"] == 1
 
-    def test_trace_records_the_fault(self):
-        net = parse(FAULTY)
-        sim = Simulator(net, sinks=["out", "fault"], trace=True)
-        sim.inject("in", {"size": 9}, at=0.0)
-        result = sim.run()
-        trace = result.completions["fault"][0].token.trace
-        assert ("work!timeout", 25.0) in trace
-
 
 class TestTimeoutDefinition:
     def test_timeout_must_be_positive(self):

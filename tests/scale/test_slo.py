@@ -1,9 +1,11 @@
 """SLO specs and the rolling time-horizon monitor."""
 
+import random
 from types import SimpleNamespace
 
 import pytest
 
+from repro.hw.stats import Summary, quantile
 from repro.scale import SLO, SloMonitor
 
 
@@ -86,3 +88,17 @@ class TestSloMonitor:
         assert verdict.latency > 500.0  # p95 dominated by the outlier
         assert not verdict.latency_ok and not verdict.loss_ok
         assert verdict.served == 5 and verdict.losses == 5
+
+
+class TestOneQuantileRule:
+    def test_monitor_summary_and_quantile_agree_bit_for_bit(self):
+        # One sample-quantile rule: the SLO verdict, Summary and the
+        # stats kernel report the same p95 for the same samples.
+        rng = random.Random(7)
+        samples = [rng.lognormvariate(8.0, 0.9) for _ in range(257)]
+        monitor = SloMonitor(SLO(latency_budget=1e12), horizon=1e9)
+        for at, latency in enumerate(samples):
+            monitor.record_served(latency, at=float(at))
+        verdict = monitor.status(float(len(samples)))
+        assert verdict.served == len(samples)
+        assert verdict.latency == Summary.of(samples).p95 == quantile(samples, 0.95)

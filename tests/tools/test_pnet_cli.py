@@ -111,6 +111,23 @@ transition t
         assert rc == 0
         assert "completions: 8" in capsys.readouterr().out
 
+    def test_reference_engine_reproduces_the_default_engine(self, pnet_file, capsys):
+        path = pnet_file(JPEG_PNET)
+        payload = '{"i": 0, "bytes": 16, "nnz": 12, "wr": true}'
+        args = ["--items", "8", "--gap", "3", "--payload", payload]
+        outputs = []
+        for engine in (["--engine", "reference"], []):
+            assert main(["run", path, *args, *engine]) == 0
+            outputs.append(capsys.readouterr().out.splitlines())
+
+        def lines(out):
+            keep = ("completions:", "makespan:", "firings:")
+            return [ln for ln in out if ln.startswith(keep)]
+
+        reference, default = outputs
+        assert len(lines(reference)) == 3
+        assert lines(reference) == lines(default)
+
 
 EXPR_CHAIN = """
 net p
