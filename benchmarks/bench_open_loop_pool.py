@@ -10,8 +10,8 @@ sweeps arrival rate × fault regime × routing policy:
 * **least_outstanding** — join-the-shortest-queue; sees load, not
   heterogeneity.
 * **interface_predicted** — prices every admitting device with its
-  performance interface (the Petri-net IR on the compiled engine, one
-  shared EvalCache) and picks the cheapest predicted completion.
+  performance interface (the Petri-net IR on the compiled engine) and
+  picks the cheapest predicted completion.
 
 The claims under test:
 
@@ -36,7 +36,6 @@ import sys
 from pathlib import Path
 
 from repro.obs import Obs, attribute, score_mispredictions
-from repro.perf import EvalCache
 from repro.runtime import (
     BreakerState,
     OpenLoopServer,
@@ -57,8 +56,8 @@ DEADLINE = 60_000.0
 SEED = bench_seed(17)
 
 
-def run_serving(policy, faults, msgs, arrivals, cache=None, obs=None):
-    pool = rpc_pool(policy, faults=faults, seed=SEED, cache=cache, obs=obs)
+def run_serving(policy, faults, msgs, arrivals, obs=None):
+    pool = rpc_pool(policy, faults=faults, seed=SEED, obs=obs)
     server = OpenLoopServer(pool, queue_limit=QUEUE_LIMIT, deadline=DEADLINE)
     return pool, server.run(msgs, arrivals)
 
@@ -73,13 +72,12 @@ def test_open_loop_pool(benchmark, report, tmp_path):
         gap: ENTERPRISE_MIX.sample_open(seed=SEED, count=N_REQUESTS, mean_gap=gap)
         for gap in GAPS
     }
-    cache = EvalCache()  # shared by every pool in the sweep
     runs = {}
     for gap in GAPS:
         msgs, arrivals = traces[gap]
         for faults in ("none", "storm"):
             for policy in ROUTING_POLICIES:
-                pool, res = run_serving(policy, faults, msgs, arrivals, cache=cache)
+                pool, res = run_serving(policy, faults, msgs, arrivals)
                 # Claim 3: the router never reached past a breaker.
                 assert pool.invariant_violations == 0, (gap, faults, policy)
                 runs[(gap, faults, policy)] = (pool, res)
@@ -188,10 +186,6 @@ def test_open_loop_pool(benchmark, report, tmp_path):
         f"faulted_cycles={here['faulted_cycles']:.0f}, "
         f"availability_overhead={here['availability_overhead']:.2f}x "
         "(identical in-process and fresh-process replay)",
-        f"shared eval cache across the sweep: {cache.stats.hits} hits / "
-        f"{cache.stats.misses} misses "
-        f"({cache.stats.hit_rate * 100:.1f}% hit rate, "
-        f"{cache.stats.uncacheable} uncacheable)",
         "",
         "obs — the worst storm under full observation (round_robin, "
         f"gap={GAPS[-1]:.0f}):",

@@ -147,7 +147,7 @@ def test_slo_autoscaler(benchmark, report):
         sharpness=1.0,
     )
     planned_pool = DevicePool(
-        planner.build_fleet(plan), policy="interface_predicted", cache=cache, obs=obs
+        planner.build_fleet(plan), policy="interface_predicted", obs=obs
     )
     planned_server = OpenLoopServer(
         planned_pool,

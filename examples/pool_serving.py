@@ -11,8 +11,8 @@ fault storm hammers Protoacc:
 1. routing is breaker-aware: a tripped device receives nothing until
    its recovery probe succeeds;
 2. the ``interface_predicted`` policy prices every admitting device
-   with its performance interface (Petri net, compiled engine, shared
-   EvalCache) — the paper's thesis applied to placement;
+   with its performance interface (Petri net, compiled engine) — the
+   paper's thesis applied to placement;
 3. requests that fail mid-flight hedge to the next-best device, and
    requests that cannot make their deadline are shed un-dispatched;
 4. the storm's incident tape persists to gzipped JSONL and replays to

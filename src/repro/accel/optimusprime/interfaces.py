@@ -10,10 +10,10 @@ summary and an executable program, both derived from the constants of
 
 A Petri-net representation (one single-server transition) ships too,
 so the pool runtime's ``interface_predicted`` router can price this
-device through the compiled engine and a shared :class:`EvalCache`
-like every other pooled accelerator.  The lint bundle audits all
-three representations, and ``pnet verify`` proves the net's latency
-contract (symbolic bounds + monotonicity certificates).
+device through the compiled engine like every other pooled
+accelerator.  The lint bundle audits all three representations, and
+``pnet verify`` proves the net's latency contract (symbolic bounds +
+monotonicity certificates).
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ PROGRAM = ProgramInterface(
 #: its net is one single-server transition: restart + per-field dispatch
 #: + bandwidth-limited streaming, the same structure the model implements.
 #: Shipped so the pool runtime's ``interface_predicted`` router can
-#: price this device through the same compiled-engine + EvalCache path
-#: as every other pooled accelerator.
+#: price this device through the same compiled-engine path as every
+#: other pooled accelerator.
 OPTIMUS_PNET = """
 net optimus_prime
 

@@ -200,10 +200,10 @@ def petri_interface(*, engine="auto", cache=None, tracer=None):
     """Build the Petri-net interface (fresh net, reusable across items).
 
     ``engine``/``cache``/``tracer`` pass through to
-    :class:`~repro.core.petrinet.PetriNetInterface` — the pool runtime
-    prices this net on the batch engine with a shared
-    :class:`~repro.perf.EvalCache` so routing stays cheap; a tracer
-    makes each simulation's firings visible as ``petri.*`` spans.
+    :class:`~repro.core.petrinet.PetriNetInterface`.  The pool runtime
+    passes neither a cache nor a tracer, so routing prices on the batch
+    engine's codegen path; a tracer makes each simulation's firings
+    visible as ``petri.*`` spans.
     """
     from repro.core.petrinet import PetriNetInterface
     from repro.petri import parse

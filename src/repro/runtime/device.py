@@ -133,10 +133,12 @@ class ResilientDevice(VirtualDevice[RequestT, ResponseT], Generic[RequestT, Resp
         :class:`repro.obs.Obs` bundle (or anything with
         ``tracer``/``metrics``/``observatory`` attributes, each
         optional): the tracer gets per-call offload/attempt/backoff
-        spans on this device's serving clock, the metrics registry gets
-        call/fault/breaker counters and a latency histogram, and the
-        drift observatory receives every (predicted, observed) pair a
-        successful accelerator attempt yields."""
+        spans on this device's serving clock (plus a ``petri.predict``
+        span per prediction a Petri-net interface makes for the drift
+        checks), the metrics registry gets call/fault/breaker counters
+        and a latency histogram, and the drift observatory receives
+        every (predicted, observed) pair a successful accelerator
+        attempt yields."""
         super().__init__()
         self.model = model
         self.interface = interface
@@ -242,7 +244,7 @@ class ResilientDevice(VirtualDevice[RequestT, ResponseT], Generic[RequestT, Resp
                     response = self.respond(request)
                     path = "accel"
                     service = outcome.charge
-                    self._record_success(request, outcome)
+                    self._record_success(request, outcome, attempt_start)
                     break
                 if self.breaker is not None:
                     self.breaker.record_failure(self.clock, reason=outcome.reason)
@@ -382,7 +384,9 @@ class ResilientDevice(VirtualDevice[RequestT, ResponseT], Generic[RequestT, Resp
             stall=max(0.0, observed - base),
         )
 
-    def _record_success(self, request: RequestT, outcome: _Attempt) -> None:
+    def _record_success(
+        self, request: RequestT, outcome: _Attempt, attempt_start: float
+    ) -> None:
         if self.breaker is not None:
             was_half_open = self.breaker.state is BreakerState.HALF_OPEN
             self.breaker.record_success(self.clock)
@@ -397,6 +401,18 @@ class ResilientDevice(VirtualDevice[RequestT, ResponseT], Generic[RequestT, Resp
             self.drift is not None or observatory is not None
         ):
             predicted = self.interface.latency(request)
+            if self._tracer is not None and self.interface.representation == "petri-net":
+                # The prediction being checked, on the serving clock next
+                # to the attempt it predicts.  The tracer stores
+                # end - start, so the exact prediction rides in the args.
+                self._tracer.add_span(
+                    "predict",
+                    attempt_start,
+                    attempt_start + predicted,
+                    cat="petri.predict",
+                    tid=self.name,
+                    args={"predicted": predicted, "observed": outcome.observed},
+                )
             if observatory is not None:
                 observatory.observe(
                     self.name, request, predicted, outcome.observed, at=self.clock

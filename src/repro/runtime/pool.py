@@ -18,8 +18,7 @@ Routing policies (:data:`ROUTING_POLICIES`):
 * ``interface_predicted`` — the headline policy: price each admitting
   device as *backlog drain + interface-predicted service time +
   invocation overhead*, using the device's own performance interface
-  (the Petri-net IR through the compiled engine, with a shared
-  :class:`~repro.perf.EvalCache` across devices), and pick the minimum.
+  (the Petri-net IR on the compiled engine), and pick the minimum.
   This is the paper's thesis operationalized: performance interfaces
   make placement decisions mechanical.
 
@@ -164,10 +163,9 @@ class PooledDevice(Generic[RequestT, ResponseT]):
 
         Same numbers as ``[self.price(r, now) for r in requests]`` — the
         interface's ``evaluate_batch`` is bit-identical to its per-item
-        path — but the service predictions come from one engine pass
-        (and, with a cache attached, one batched lookup), which is what
-        makes scoring a large candidate matrix against the whole pool
-        affordable.
+        path — but the service predictions come from one engine pass,
+        which is what makes scoring a large candidate set against the
+        whole pool affordable.
         """
         start = self.busy_until(now)
         latencies = self.price_interface.evaluate_batch(requests)
@@ -272,9 +270,6 @@ class DevicePool(Generic[RequestT, ResponseT]):
             admitting member.
         policy: routing policy name or instance (see
             :data:`ROUTING_POLICIES`).
-        cache: the shared :class:`~repro.perf.EvalCache` the devices'
-            pricing interfaces use, if any — kept so :meth:`snapshot`
-            can report hit rates alongside serving health.
         obs: an :class:`repro.obs.Obs` bundle; the pool emits dispatch
             spans, per-hop queue-wait spans, hedge instants, and
             request/hedge counters into it.
@@ -285,7 +280,6 @@ class DevicePool(Generic[RequestT, ResponseT]):
         devices: Sequence[PooledDevice[RequestT, ResponseT]],
         policy: str | RoutingPolicy = "round_robin",
         *,
-        cache=None,
         obs=None,
     ):
         names = [d.name for d in devices]
@@ -297,7 +291,6 @@ class DevicePool(Generic[RequestT, ResponseT]):
             self._check_contract(d)
         self.devices = list(devices)
         self.policy = make_routing_policy(policy)
-        self.cache = cache
         self.obs = obs
         tracer = getattr(obs, "tracer", None)
         self._tracer = (
@@ -503,21 +496,6 @@ class DevicePool(Generic[RequestT, ResponseT]):
             ).observe(t - now)
         return result
 
-    def price_matrix(
-        self, requests: Sequence[RequestT], now: float
-    ) -> dict[str, list[float]]:
-        """Interface-predicted completion time of every request on every
-        currently-admitting device — the scoring table capacity planners
-        and hedging analyses read.  Each row is one batched interface
-        pass (see :meth:`PooledDevice.price_batch`), so a 1000-request
-        matrix over a heterogeneous pool costs a handful of engine
-        passes instead of ``len(requests) * len(devices)`` simulations.
-        """
-        return {
-            d.name: d.price_batch(requests, now)
-            for d in self.available_devices(now)
-        }
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -541,9 +519,9 @@ class DevicePool(Generic[RequestT, ResponseT]):
         return Summary.of(self.latencies())
 
     def snapshot(self) -> dict:
-        """One structured health snapshot: serving outcomes, per-device
-        breaker state and load, and the shared eval-cache hit rate —
-        what ``perfscope report`` (and an operator dashboard) reads."""
+        """One structured health snapshot: serving outcomes and per-device
+        breaker state and load — what ``perfscope report`` (and an
+        operator dashboard) reads."""
         devices = {}
         for d in self.devices:
             breaker = d.device.breaker
@@ -577,14 +555,6 @@ class DevicePool(Generic[RequestT, ResponseT]):
             "invariant_violations": self.invariant_violations,
             "devices": devices,
         }
-        if self.cache is not None:
-            stats = self.cache.stats
-            snap["eval_cache"] = {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "uncacheable": stats.uncacheable,
-                "hit_rate": stats.hit_rate,
-            }
         if self.healer is not None:
             snap["healing"] = self.healer.snapshot()
         if self.ladder is not None:
@@ -657,21 +627,26 @@ def rpc_device(
 
     ``kind`` is one of :data:`RPC_DEVICE_KINDS`.  Accelerator kinds are
     priced through their Petri-net interfaces on the compiled engine
-    (sharing ``cache``) and carry their verified
-    :class:`~repro.lint.PerfContract`; the CPU software server is its
-    own ground truth and ships breaker-less (it always admits), so a
-    pool containing one is never without a device.
+    and carry their verified :class:`~repro.lint.PerfContract`; the CPU
+    software server is its own ground truth and ships breaker-less (it
+    always admits), so a pool containing one is never without a device.
+
+    Pricing is uncached by default: one compiled-engine run of these
+    nets costs less than building an :class:`~repro.perf.EvalCache` key
+    for it.  ``cache`` attaches one anyway (the capacity planner's
+    persistent tier, where a re-plan replays whole sweeps).  The
+    pricing interfaces never get the tracer: the device itself traces
+    each prediction it checks as one ``petri.predict`` span on the
+    serving clock (see :class:`ResilientDevice`).
     """
     from repro.accel.cpu import CpuSerializerModel, offload_overhead
     from repro.core.program import ProgramInterface
-    from repro.perf import EvalCache
 
     from .breaker import BreakerConfig, CircuitBreaker
     from .degrade import rpc_cpu_fallback
     from .retry import RetryPolicy
     from .watchdog import Watchdog
 
-    cache = cache if cache is not None else EvalCache()
     tracer = getattr(obs, "tracer", None)
     fallback = rpc_cpu_fallback()
     name = name or kind
@@ -693,7 +668,7 @@ def rpc_device(
 
         device = ResilientDevice(
             ProtoaccSerializerModel(tracer=tracer),
-            protoacc_petri(cache=cache, tracer=tracer),
+            protoacc_petri(cache=cache),
             fallback,
             fault_plan=fault_plan,
             watchdog=Watchdog(budget=20_000.0),
@@ -710,7 +685,7 @@ def rpc_device(
 
         device = ResilientDevice(
             OptimusPrimeModel(),
-            optimus_petri(cache=cache, tracer=tracer),
+            optimus_petri(cache=cache),
             fallback,
             fault_plan=fault_plan,
             watchdog=Watchdog(budget=20_000.0),
@@ -770,30 +745,22 @@ def rpc_pool(
       ``tests/integration/test_attribution_bottleneck.py``).
 
     All accelerator devices are priced through their Petri-net
-    interfaces on the compiled engine, sharing one
-    :class:`~repro.perf.EvalCache` (pass ``cache`` to share it wider,
-    e.g. across the policies of a sweep).
+    interfaces on the compiled engine, uncached (see
+    :func:`rpc_device`).  ``cache`` is accepted and ignored.
 
     ``obs`` (an :class:`repro.obs.Obs` bundle) instruments the whole
     stack: the tracer is threaded into the Protoacc ground-truth model
-    (DRAM spans), both Petri-net pricing interfaces (firing spans on
-    cache misses), and every device's serving loop; the metrics
+    (DRAM spans) and every device's serving loop (including one
+    ``petri.predict`` span per checked prediction); the metrics
     registry and drift observatory ride along on each device and on
     the pool itself.
     """
-    from repro.perf import EvalCache
-
     from .faults import FaultPlan, FaultSpec
 
     if faults not in ("none", "storm", "dram"):
         raise ValueError(
             f"faults must be 'none', 'storm', or 'dram', got {faults!r}"
         )
-    cache = cache if cache is not None else EvalCache()
-    metrics = getattr(obs, "metrics", None)
-    if metrics is not None:
-        cache.bind_metrics(metrics, cache="pool")
-
     storm_spec = FaultSpec(hang_rate=0.25, drop_rate=0.10, corrupt_rate=0.05)
     background_spec = FaultSpec(spike_rate=0.02, spike_scale=3.0)
     # Storm cycles sit far under the 20k-cycle watchdog budget, so the
@@ -811,21 +778,14 @@ def rpc_pool(
     protoacc = rpc_device(
         "protoacc",
         seed=seed,
-        cache=cache,
         obs=obs,
         fault_plan=protoacc_plan,
     )
     optimus = rpc_device(
         "optimus-prime",
         seed=seed + 1,
-        cache=cache,
         obs=obs,
         fault_plan=optimus_plan,
     )
     cpu = rpc_device("cpu", obs=obs)
-    return DevicePool(
-        [protoacc, optimus, cpu],
-        policy=policy,
-        cache=cache,
-        obs=obs,
-    )
+    return DevicePool([protoacc, optimus, cpu], policy=policy, obs=obs)

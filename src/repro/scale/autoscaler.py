@@ -259,7 +259,7 @@ class Autoscaler:
 
     def _mean_service(self, pooled, now: float, sample) -> float:
         """Interface-predicted mean service of the sample on one device
-        (backlog excluded) — one batched engine pass, cache-backed."""
+        (backlog excluded) — one batched engine pass."""
         start = pooled.busy_until(now)
         predicted = pooled.price_batch(sample, now)
         return sum(p - start for p in predicted) / len(predicted)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs import Obs
-from repro.perf import EvalCache
 from repro.runtime import OpenLoopServer, WindowedFaultPlan
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.pool import DevicePool, rpc_device
@@ -108,7 +107,6 @@ def priority_assigner(requests, seed: int):
 def base_fleet(
     *,
     seed: int = 17,
-    cache=None,
     obs=None,
     storm_window: tuple[int, int] | None = None,
     extra_kinds=(),
@@ -122,13 +120,11 @@ def base_fleet(
         start, stop = storm_window
         fault_plan = WindowedFaultPlan(FaultPlan(seed, STORM_SPEC), start, stop)
     devices = [
-        rpc_device("protoacc", seed=seed, cache=cache, obs=obs, fault_plan=fault_plan),
+        rpc_device("protoacc", seed=seed, obs=obs, fault_plan=fault_plan),
         rpc_device("cpu", obs=obs),
     ]
     for i, kind in enumerate(extra_kinds):
-        devices.append(
-            rpc_device(kind, name=f"{kind}-f{i}", seed=seed + 2 + i, cache=cache, obs=obs)
-        )
+        devices.append(rpc_device(kind, name=f"{kind}-f{i}", seed=seed + 2 + i, obs=obs))
     return devices
 
 
@@ -151,7 +147,6 @@ def run_scale_scenario(
     brownout_policy: BrownoutPolicy | None = None,
     decision_interval: float = 1_500.0,
     monitor_horizon: float = 40_000.0,
-    cache=None,
     obs=None,
 ) -> dict:
     """Serve one diurnal + storm trace and return the full story.
@@ -166,7 +161,6 @@ def run_scale_scenario(
     size over the serving span).
     """
     slo = slo or SLO(latency_budget=30_000.0, latency_quantile=0.95, max_loss_rate=0.08)
-    cache = cache if cache is not None else EvalCache()
     obs = obs if obs is not None else Obs.enabled(drift=False)
     requests, arrivals = diurnal_arrivals(
         mix,
@@ -178,19 +172,18 @@ def run_scale_scenario(
     )
     devices = base_fleet(
         seed=seed,
-        cache=cache,
         obs=obs,
         storm_window=storm_window,
         extra_kinds=() if autoscale else fixed_extra_kinds,
     )
-    pool = DevicePool(devices, policy="interface_predicted", cache=cache, obs=obs)
+    pool = DevicePool(devices, policy="interface_predicted", obs=obs)
     controller = None
     if autoscale or brownout:
         controller = ScaleController(
             pool,
             slo,
             templates=(
-                standard_templates(seed=seed + 100, cache=cache, obs=obs)
+                standard_templates(seed=seed + 100, obs=obs)
                 if autoscale
                 else ()
             ),

@@ -23,7 +23,8 @@ def standard_templates(
     cache=None,
     obs=None,
 ) -> list[DeviceTemplate]:
-    """Templates for the requested kinds, sharing one eval cache.
+    """Templates for the requested kinds; ``cache`` (optional) is
+    shared by every device they build.
 
     ``costs`` overrides the default relative prices
     (:data:`RPC_DEVICE_COSTS`) — capacity planning answers change with

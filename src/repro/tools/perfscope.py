@@ -10,7 +10,7 @@ from it:
   request-latency breakdown (queue / service / retry);
 * ``trace`` — export the run as Chrome/Perfetto ``trace_event`` JSON
   (open at https://ui.perfetto.dev) with spans from all three layers:
-  Petri-net firings, DRAM bursts, and runtime offloads;
+  Petri-net predictions, DRAM bursts, and runtime offloads;
 * ``metrics`` — Prometheus-style text exposition of every counter,
   gauge, and histogram the run touched;
 * ``heal`` — run the self-healing scenario (a mid-serve DRAM regime
@@ -117,12 +117,6 @@ def _report(obs: Obs, pool, result) -> str:
             f"  {name:<14} dispatched={d['dispatched']:<4} "
             f"breaker={breaker:<9} faults={d['faults']:<3} "
             f"fallback={d['fallback_fraction']:.0%}"
-        )
-    if "eval_cache" in snap:
-        c = snap["eval_cache"]
-        lines.append(
-            f"  eval cache: {c['hits']}/{c['hits'] + c['misses']} hits "
-            f"({c['hit_rate']:.0%}), {c['uncacheable']} uncacheable"
         )
     lines += ["", "-- latency breakdown (served requests) --", _breakdown_table(result)]
     lines += ["", "-- drift observatory --"]

@@ -295,14 +295,13 @@ def test_memoized_profiler_batches_only_the_misses():
     assert prof.cache.stats.hits == 7
 
 
-def test_pool_price_matrix_matches_per_request_pricing():
+def test_pooled_price_batch_matches_per_request_pricing():
     from repro.accel.protoacc import formats
     from repro.runtime.pool import rpc_pool
 
     pool = rpc_pool()
     requests = list(formats.instances(seed=3).values())[:5]
-    matrix = pool.price_matrix(requests, now=0.0)
-    devices = pool.available_devices(0.0)
-    assert set(matrix) == {d.name for d in devices}
-    for device in devices:
-        assert matrix[device.name] == [device.price(req, 0.0) for req in requests]
+    for device in pool.devices:
+        assert device.price_batch(requests, 0.0) == [
+            device.price(req, 0.0) for req in requests
+        ]

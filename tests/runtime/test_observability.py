@@ -104,7 +104,7 @@ class TestPoolBreakdownAccounting:
         obs, pool, _ = traced_run()
         snap = pool.snapshot()
         assert set(snap["devices"]) == {"protoacc", "optimus-prime", "cpu"}
-        assert snap["eval_cache"]["hits"] + snap["eval_cache"]["misses"] > 0
+        assert "eval_cache" not in snap  # serving prices uncached
         assert snap["invariant_violations"] == 0
 
 

@@ -29,7 +29,6 @@ def rig():
     pool = DevicePool(
         [rpc_device("protoacc", cache=cache, obs=obs), rpc_device("cpu", obs=obs)],
         policy="interface_predicted",
-        cache=cache,
         obs=obs,
     )
     templates = standard_templates(seed=117, cache=cache, obs=obs)

@@ -16,7 +16,7 @@ class TestReport:
         assert "protoacc" in out and "optimus-prime" in out and "cpu" in out
         assert "latency breakdown" in out
         assert "drift observatory" in out
-        assert "eval cache" in out
+        assert "eval cache" not in out  # serving prices uncached
 
     def test_quiet_fleet_report(self, capsys):
         assert main(["report", "--faults", "none", "--requests", "20"]) == 0
